@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
-configuration, 3 runtime failure (diverged training, unreadable files,
-undefined reweighting).
+configuration (bad numbers, damaged model files), 3 runtime failure
+(diverged training, unreadable files, undefined reweighting, a ``report``
+sweep with a failed (method, seed) cell).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .corruptions import CorruptionSpec, Grid, SentencePair, apply
+from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
 from .errors import TrainingError, UndefinedWeightError
 from .families import Dataset
 from .harness import (
@@ -52,9 +53,8 @@ def _cmd_gen(args) -> int:
 def _cmd_corrupt(args) -> int:
     ds = load_dataset(args.src)
     spec = CorruptionSpec(args.kind, args.param, args.seed)
-    covs = [apply(spec, cov, i) for i, cov in enumerate(ds.covariates)]
     out = Dataset(
-        covariates=covs,
+        covariates=apply_all(spec, ds.covariates),
         labels=ds.labels,
         n_classes=ds.n_classes,
         nuisances=ds.nuisances,
@@ -151,7 +151,7 @@ def _cmd_report(args) -> int:
     for label, (seed, msg) in failures:
         print(f"warning: {label} seed {seed} failed: {msg}", file=sys.stderr)
     print(f"wrote {args.out}")
-    return 0
+    return 3 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

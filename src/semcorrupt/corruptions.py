@@ -9,11 +9,12 @@ input, parameters, and seed give a bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DispatchError, SizingError
-from .rng import Stream, derive_seed
+from .rng import Stream, as_words, below_words, derive_seed, derive_seeds, stream_words
 
 
 class Grid:
@@ -230,27 +231,110 @@ def gauss_noise(grid: Grid, variance: float, seed: int) -> Grid:
 # ---------------------------------------------------------------------------
 # text corruptions
 
+def token_segments(covariates, last_only: bool = False) -> tuple:
+    """The token sequences of token covariates, example by example.
+
+    A lone TokenSeq gives one segment, a SentencePair its premise then its
+    hypothesis (the hypothesis alone with ``last_only``).  Returns the
+    segments' token tuples, the example index of each and the sub-seed tag
+    ``apply`` gives it (0 premise or lone sequence, 1 hypothesis).
+    """
+    seqs, rows, tags = [], [], []
+    for i, cov in enumerate(covariates):
+        if isinstance(cov, SentencePair):
+            if not last_only:
+                seqs.append(cov.premise.tokens)
+                rows.append(i)
+                tags.append(0)
+            seqs.append(cov.hypothesis.tokens)
+            rows.append(i)
+            tags.append(1)
+        elif isinstance(cov, TokenSeq):
+            seqs.append(cov.tokens)
+            rows.append(i)
+            tags.append(0)
+        else:
+            raise DispatchError(f"expected a SentencePair or TokenSeq, got {type(cov).__name__}")
+    return seqs, np.array(rows, dtype=np.int64), np.array(tags, dtype=np.int64)
+
+
+def segment_seeds(seed: int, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """``apply``'s n-gram sub-seed of each segment:
+    ``derive_seed(derive_seed(seed, example_index), tag)``."""
+    return derive_seeds(derive_seeds(seed, rows), tags)
+
+
+def _block_order(full: int, rest: int, seed: int) -> list:
+    """Scalar draw of the block order: full blocks in order, the remainder
+    block (id ``full``) inserted at ``below(full + 1)``, then Fisher-Yates."""
+    stream = Stream(seed)
+    order = list(range(full))
+    if rest:
+        order.insert(stream.below(full + 1), full)
+    stream.shuffle(order)
+    return order
+
+
+def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
+    """Batch form of :func:`ngram_randomize` on token segments laid end to
+    end: segment ``s`` has ``lengths[s]`` tokens and shuffles with
+    ``seeds[s]``.  Returns, for every output position, the flat index of the
+    input token that lands there.
+
+    Segments of one length share their block layout, so their draws are one
+    array and each Fisher-Yates step swaps across all of them at once.  A
+    segment with a word that ``below`` rejects is drawn again by the scalar
+    stream.
+    """
+    if n < 1:
+        raise SizingError("n must be >= 1")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    src = np.arange(int(lengths.sum()))
+    for length in np.unique(lengths[lengths > n]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        full, rest = divmod(length, n)
+        blocks = full + (rest > 0)
+        # below(full + 1) places the remainder, then below(i + 1) for i = blocks-1 .. 1
+        bounds = [full + 1] * (rest > 0) + list(range(blocks, 1, -1))
+        draws, accepted = below_words(stream_words(seeds[rows], len(bounds)), bounds)
+        draws = draws.astype(np.int64)
+        slot = np.arange(blocks)
+        if rest:
+            at = draws[:, :1]
+            order = np.where(slot < at, slot, np.where(slot == at, full, slot - 1))
+            draws = draws[:, 1:]
+        else:
+            order = np.tile(slot, (len(rows), 1))
+        every = np.arange(len(rows))
+        for step, i in enumerate(range(blocks - 1, 0, -1)):
+            j = draws[:, step]
+            held = order[:, i].copy()
+            order[:, i] = order[every, j]
+            order[every, j] = held
+        for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
+            order[r] = _block_order(full, rest, int(seeds[rows[r]]))
+        # token offsets of each block; -1 past the end of the remainder block
+        offsets = np.arange(blocks * n).reshape(blocks, n)
+        offsets[offsets >= length] = -1
+        picked = offsets[order].reshape(len(rows), -1)
+        picked = picked[picked >= 0].reshape(len(rows), length)
+        base = starts[rows][:, np.newaxis]
+        src[base + np.arange(length)] = base + picked
+    return src
+
+
 def ngram_randomize(seq: TokenSeq, n: int, seed: int) -> TokenSeq:
     """Split into consecutive n-token blocks and permute the blocks.
 
     A shorter remainder block, when present, is first inserted at a uniform
     block position; the whole block list is then Fisher-Yates shuffled.  The
-    block multiset is preserved; ``n >= len(seq)`` gives the identity.
+    block multiset is preserved; ``n >= len(seq)`` gives the identity.  This
+    is the one-segment call of :func:`ngram_source`.
     """
-    if n < 1:
-        raise SizingError("n must be >= 1")
     toks = seq.tokens
-    if len(toks) == 0:
-        return seq
-    full = len(toks) // n
-    blocks = [toks[i * n : (i + 1) * n] for i in range(full)]
-    rest = toks[full * n :]
-    stream = Stream(seed)
-    if rest:
-        blocks.insert(stream.below(len(blocks) + 1), rest)
-    stream.shuffle(blocks)
-    merged = tuple(t for block in blocks for t in block)
-    return TokenSeq(merged, seq.mask_id)
+    src = ngram_source(np.array([len(toks)]), n, as_words(seed))
+    return TokenSeq(tuple(toks[i] for i in src.tolist()), seq.mask_id)
 
 
 def premise_mask(pair: SentencePair, seed: int = 0) -> SentencePair:
@@ -376,3 +460,25 @@ def apply(spec: CorruptionSpec, covariate, example_index: int):
             raise DispatchError(f"coordinate_mask expects a numeric tuple, got {type(covariate).__name__}")
         return coordinate_mask(tuple(covariate), int(spec.param))
     raise DispatchError(f"cannot apply {spec.kind} to {type(covariate).__name__}")
+
+
+def apply_all(spec: CorruptionSpec, covariates) -> list:
+    """``apply`` to every covariate, with its list position as example
+    index.  N-gram shuffles run as one :func:`ngram_source` batch."""
+    covariates = list(covariates)
+    if spec.kind != "ngram_randomize":
+        return [apply(spec, cov, i) for i, cov in enumerate(covariates)]
+    seqs, rows, tags = token_segments(covariates)
+    flat = [t for seq in seqs for t in seq]
+    src = ngram_source([len(seq) for seq in seqs], int(spec.param),
+                       segment_seeds(spec.seed, rows, tags))
+    shuffled = iter([flat[i] for i in src.tolist()])
+    parts = (tuple(islice(shuffled, len(seq))) for seq in seqs)
+    out = []
+    for cov in covariates:
+        if isinstance(cov, SentencePair):
+            out.append(SentencePair(TokenSeq(next(parts), cov.premise.mask_id),
+                                    TokenSeq(next(parts), cov.hypothesis.mask_id)))
+        else:
+            out.append(TokenSeq(next(parts), cov.mask_id))
+    return out

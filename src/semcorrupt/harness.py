@@ -546,7 +546,7 @@ def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
         if kind == "flip":
             fam = flip_noise_family(1 + stream.below(2))
         elif kind == "negated":
-            fam = negated_coordinate_family(stream.uniform(), 4 + 2 * stream.below(3))
+            fam = negated_coordinate_family(0.8 * stream.uniform(), 4 + 2 * stream.below(3))
         else:
             fam = xor_sign_family(0.8 * stream.uniform(), 4 + 2 * stream.below(3))
         corruption = _fuzz_corruption(stream, kind)
@@ -617,6 +617,11 @@ def load_model(path: str) -> LinearModel:
         header = json.loads(fh.readline().decode())
         flat = np.frombuffer(fh.read(), dtype="<f8")
     model = LinearModel(header["n_features"], header["n_classes"], header["hidden"])
+    if flat.size != model.get_flat().size:
+        raise ConfigError(f"model file {path} holds {flat.size} parameters, "
+                          f"its header needs {model.get_flat().size}")
+    if not np.all(np.isfinite(flat)):
+        raise ConfigError(f"model file {path} holds non-finite parameters")
     model.set_flat(flat.astype(np.float64))
     return model
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .corruptions import Grid, SentencePair, TokenSeq
+from .corruptions import Grid, SentencePair, ngram_source, segment_seeds, token_segments
 from .errors import DispatchError, TrainingError
-from .rng import Stream, derive_seed
+from .rng import Stream, as_words, derive_seed, derive_seeds
 
 _SHUFFLE_TAG = 101
 _INIT_TAG = 102
@@ -59,16 +60,39 @@ class FeatureSpec:
         return self.buckets
 
 
-def _ngram_bucket(window: tuple, buckets: int) -> int:
-    return derive_seed(len(window), *window) % buckets
+def bag_of_ngrams(spec: FeatureSpec, covariates, shuffle=None) -> np.ndarray:
+    """The ``bag_of_ngrams`` matrix of token covariates, hashed as arrays.
 
-
-def _bag_vector(tokens: tuple, ngram: int, buckets: int) -> np.ndarray:
-    vec = np.zeros(buckets)
-    for n in range(1, ngram + 1):
-        for i in range(len(tokens) - n + 1):
-            vec[_ngram_bucket(tokens[i : i + n], buckets)] += 1.0
-    return vec
+    An n-gram window lands in bucket ``derive_seed(n, *window) % buckets``;
+    every window of every length of every sentence is hashed by one
+    :func:`derive_seeds` call per length.  ``shuffle``, an ``ngram_randomize``
+    CorruptionSpec, first shuffles each sentence on the flat token array
+    exactly as ``apply`` with the example's index would.
+    """
+    seqs, rows, tags = token_segments(covariates, spec.pair_mode == "hypothesis_only")
+    if not seqs:
+        return np.zeros((0, 0))
+    examples = int(rows[-1]) + 1
+    per_example = np.bincount(rows)
+    if (per_example != per_example[0]).any():
+        raise DispatchError("bag_of_ngrams cannot mix sentence pairs and lone sequences")
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    try:
+        ids = np.fromiter(chain.from_iterable(seqs), np.uint64, int(lengths.sum()))
+    except OverflowError:   # ids of 2**64 and above
+        ids = as_words([t for seq in seqs for t in seq])
+    if shuffle is not None:
+        ids = ids[ngram_source(lengths, int(shuffle.param),
+                               segment_seeds(shuffle.seed, rows, tags))]
+    segment = np.repeat(np.arange(len(seqs)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    cells = []
+    for n in range(1, spec.ngram + 1):
+        at = np.flatnonzero(room >= n)
+        key = derive_seeds(n, *(ids[at + k] for k in range(n)))
+        cells.append(segment[at] * spec.buckets + (key % np.uint64(spec.buckets)).astype(np.int64))
+    counts = np.bincount(np.concatenate(cells), minlength=len(seqs) * spec.buckets)
+    return counts.astype(np.float64).reshape(examples, -1)
 
 
 def _featurize_one(spec: FeatureSpec, cov) -> np.ndarray:
@@ -76,25 +100,17 @@ def _featurize_one(spec: FeatureSpec, cov) -> np.ndarray:
         if not isinstance(cov, Grid):
             raise DispatchError("flatten_grid expects a Grid")
         return cov.values.ravel().astype(np.float64)
-    if spec.kind == "raw_vector":
-        return np.asarray(cov, dtype=np.float64).ravel()
-    if isinstance(cov, TokenSeq):
-        return _bag_vector(cov.tokens, spec.ngram, spec.buckets)
-    if isinstance(cov, SentencePair):
-        hyp = _bag_vector(cov.hypothesis.tokens, spec.ngram, spec.buckets)
-        if spec.pair_mode == "hypothesis_only":
-            return hyp
-        prem = _bag_vector(cov.premise.tokens, spec.ngram, spec.buckets)
-        return np.concatenate([prem, hyp])
-    raise DispatchError(f"bag_of_ngrams expects token input, got {type(cov).__name__}")
+    return np.asarray(cov, dtype=np.float64).ravel()
 
 
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
     """Stack per-example feature vectors into an (n, d) float64 matrix."""
-    rows = [_featurize_one(spec, c) for c in covariates]
-    if not rows:
+    covariates = list(covariates)
+    if not covariates:
         return np.zeros((0, 0))
-    return np.stack(rows)
+    if spec.kind == "bag_of_ngrams":
+        return bag_of_ngrams(spec, covariates)
+    return np.stack([_featurize_one(spec, c) for c in covariates])
 
 
 class LinearModel:
@@ -290,8 +306,12 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0.0:
+        if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad training configuration")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
 
 def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int,
@@ -328,7 +348,15 @@ def train(model: LinearModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             model.set_flat(model.get_flat() - cfg.lr * grad)
             total += loss * len(idx)
         losses.append(total / len(y))
+    check_finite(model)
     return losses
+
+
+def check_finite(model: LinearModel) -> None:
+    """Raise TrainingError when the last step left non-finite parameters;
+    the per-step loss checks only see the parameters a step started from."""
+    if not np.all(np.isfinite(model.get_flat())):
+        raise TrainingError("non-finite parameters after the last step")
 
 
 def accuracy(model: LinearModel, X: np.ndarray, y: np.ndarray) -> float:

@@ -15,6 +15,11 @@ documented output sequence, so seeded operations are bit-reproducible:
 
 Sub-seeds for per-example or per-epoch randomness come from
 :func:`derive_seed`, an order-sensitive chain of ``mix64`` calls.
+
+Word ``k`` (from 1) of the stream seeded ``s`` is ``mix64(s + k * GOLDEN)``,
+a pure function of (seed, counter), so batches of words, of sub-seeds
+(:func:`derive_seeds`) and of ``below`` draws are computed as arrays with the
+same bits as the scalar loops.
 """
 
 from __future__ import annotations
@@ -56,6 +61,52 @@ def _mix64_vec(words: np.ndarray) -> np.ndarray:
     return v
 
 
+def as_words(values) -> np.ndarray:
+    """Integers (an int, a sequence or an integer array) as a uint64 array of
+    at least one dimension, reduced mod 2**64 as :func:`derive_seed` reduces
+    its parts."""
+    if isinstance(values, np.ndarray):
+        return np.atleast_1d(values.astype(np.uint64))
+    if np.ndim(values) == 0:
+        return np.array([int(values) & MASK64], dtype=np.uint64)
+    try:
+        return np.array(values, dtype=np.uint64)
+    except OverflowError:   # values below 0 or at 2**64 and above
+        return np.array([int(v) & MASK64 for v in values], dtype=np.uint64)
+
+
+def derive_seeds(*parts) -> np.ndarray:
+    """Vectorized :func:`derive_seed`: each part is an int or an integer
+    array, broadcast together; element ``i`` equals ``derive_seed`` of the
+    parts' ``i``-th elements."""
+    acc = np.array([GOLDEN], dtype=np.uint64)
+    for part in parts:
+        acc = _mix64_vec((acc + np.uint64(GOLDEN)) ^ _mix64_vec(as_words(part)))
+    return acc
+
+
+def stream_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` words of the stream at each seed, one row per
+    seed (a lone int is one seed)."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    return _mix64_vec(as_words(seeds)[..., np.newaxis] + steps)
+
+
+def below_words(words: np.ndarray, bounds) -> tuple:
+    """``below(bound)`` on one word each: ``(word % bound, accepted)``.  A
+    word that ``below`` rejects (at most ``bound - 1`` of the 2**64 words)
+    needs the scalar draw, which goes on to the next word."""
+    bounds = as_words(bounds)
+    wrap = (np.uint64(MASK64) % bounds + np.uint64(1)) % bounds   # 2**64 % bound
+    return words % bounds, words <= np.uint64(MASK64) - wrap
+
+
+# Shortest list Stream.shuffle draws as one array.  Best of 7 x 500 calls
+# (2 vCPU, Python 3.11, numpy 2.4), scalar loop against one array draw:
+# 16 items 10.5 us / 23 us, 32 items 28 us / 24 us, 1500 items 1.60 ms / 0.20 ms.
+_VECTOR_SHUFFLE_MIN = 32
+
+
 class Stream:
     """SplitMix64 stream; every drawing method documents its word usage."""
 
@@ -75,8 +126,7 @@ class Stream:
         """Vectorized ``uniform``; identical to ``count`` sequential draws."""
         if count == 0:
             return np.empty(0)
-        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-        words = _mix64_vec(np.uint64(self._state) + steps)
+        words = stream_words(self._state, count)[0]
         self._state = (self._state + GOLDEN * count) & MASK64
         return (words >> np.uint64(11)) * 2.0**-53
 
@@ -93,8 +143,21 @@ class Stream:
                 return word % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using ``below``."""
-        for i in range(len(items) - 1, 0, -1):
+        """In-place Fisher-Yates using ``below``.
+
+        From ``_VECTOR_SHUFFLE_MIN`` items on, all ``len - 1`` words are drawn
+        as one array and only the swaps loop; a rejected word sends the whole
+        shuffle to the scalar loop, which redraws from the same state."""
+        n = len(items)
+        if n >= _VECTOR_SHUFFLE_MIN:
+            js, accepted = below_words(stream_words(self._state, n - 1)[0],
+                                       np.arange(n, 1, -1))
+            if accepted.all():
+                for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+                    items[i], items[j] = items[j], items[i]
+                self._state = (self._state + GOLDEN * (n - 1)) & MASK64
+                return
+        for i in range(n - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import CorruptionSpec, apply
+from .corruptions import CorruptionSpec, apply_all
 from .errors import ConfigError, TrainingError
 from .families import Dataset
 from .rng import derive_seed
@@ -23,7 +23,9 @@ from .learner import (
     FeatureSpec,
     LinearModel,
     TrainConfig,
+    bag_of_ngrams,
     ce_loss_grad,
+    check_finite,
     dfl_loss_grad,
     featurize,
     minibatch_plan,
@@ -47,9 +49,12 @@ _EPOCH_NOISE_TAG = 103
 def corrupted_features(dataset: Dataset, spec: CorruptionSpec,
                        feature_spec: FeatureSpec) -> np.ndarray:
     """Apply the corruption to every example (noise keyed by example index)
-    and featurize the results."""
-    rows = [apply(spec, cov, i) for i, cov in enumerate(dataset.covariates)]
-    return featurize(feature_spec, rows)
+    and featurize the results.  N-gram shuffles under bag-of-n-gram
+    features go from token arrays to shuffled token arrays to the feature
+    matrix, building no per-example objects."""
+    if spec.kind == "ngram_randomize" and feature_spec.kind == "bag_of_ngrams":
+        return bag_of_ngrams(feature_spec, dataset.covariates, shuffle=spec)
+    return featurize(feature_spec, apply_all(spec, dataset.covariates))
 
 
 def _epoch_feature_fn(dataset: Dataset, spec: CorruptionSpec,
@@ -214,6 +219,8 @@ def run_poe(dataset: Dataset, corruption: CorruptionSpec,
                 biased.set_flat(biased.get_flat() - cfg_biased.lr * g_biased)
             total += loss * len(idx)
         losses.append(total / len(y))
+    check_finite(main)
+    check_finite(biased)
     return main, {"biased_model": biased, "losses": losses}
 
 
@@ -253,6 +260,8 @@ def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
             main.set_flat(main.get_flat() - cfg_main.lr * grad)
             total += loss * len(idx)
         losses.append(total / len(y))
+    check_finite(main)
+    check_finite(biased)
     return main, {"biased_model": biased, "losses": losses}
 
 

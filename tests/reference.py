@@ -36,6 +36,35 @@ def ref_derive_seed(*parts: int) -> int:
     return acc
 
 
+def _unxorshift(value: int, shift: int) -> int:
+    x = value
+    for _ in range(64 // shift + 1):
+        x = value ^ (x >> shift)
+    return x
+
+
+def ref_unmix64(value: int) -> int:
+    """Inverse of ref_mix64, which is a bijection on 64-bit words."""
+    v = _unxorshift(value & MASK64, 31)
+    v = (v * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    v = _unxorshift(v, 27)
+    v = (v * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return _unxorshift(v, 30)
+
+
+def ref_seed_with_word(word: int, position: int = 1) -> int:
+    """A stream seed whose ``position``-th output word (from 1) is ``word``."""
+    return (ref_unmix64(word) - position * GOLDEN) & MASK64
+
+
+def ref_derive_preimage(target: int, *suffix: int) -> int:
+    """The first part ``x`` with ``ref_derive_seed(x, *suffix) == target``."""
+    acc = target & MASK64
+    for part in reversed(suffix):
+        acc = ((ref_unmix64(acc) ^ ref_mix64(part & MASK64)) - GOLDEN) & MASK64
+    return ref_unmix64(ref_unmix64(acc) ^ ((2 * GOLDEN) & MASK64))
+
+
 class RefStream:
     """Scalar SplitMix64 stream with the documented draw protocols."""
 

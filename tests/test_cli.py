@@ -5,14 +5,20 @@ be asserted directly; one subprocess test covers module invocation.
 """
 
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semcorrupt import cli, harness
 from semcorrupt.cli import main
-from semcorrupt.harness import load_dataset, load_model
+from semcorrupt.errors import TrainingError
+from semcorrupt.families import Dataset
+from semcorrupt.harness import desk_nli_experiment, load_dataset, load_model, save_dataset, save_model
+from semcorrupt.learner import LinearModel
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +148,95 @@ class TestExitCodes:
         assert code == 3
 
 
+@pytest.fixture(scope="module")
+def huge_dir(tmp_path_factory):
+    """Two-coordinate vectors with a 1e150 first coordinate, every label 0:
+    one SGD step at a large rate overflows the weights to infinity while the
+    loss it started from is finite."""
+    path = str(tmp_path_factory.mktemp("huge") / "vec")
+    covs = [(1e150, float(i % 3)) for i in range(16)]
+    save_dataset(Dataset(covariates=covs, labels=np.zeros(16, dtype=np.int64),
+                         n_classes=2), path)
+    return path
+
+
+class TestNonFiniteNumerics:
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                            ("--wd", "nan"), ("--wd", "-0.1")])
+    def test_non_finite_or_negative_rates_are_usage_errors(self, image_dir, tmp_path,
+                                                          capsys, flag, value):
+        model_path = tmp_path / "m.bin"
+        code = main(["train", "--in", image_dir, "--out", str(model_path), "--seed", "0",
+                     "--epochs", "1", flag, value])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_train_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys):
+        model_path = tmp_path / "m.bin"
+        code = main(["train", "--in", huge_dir, "--out", str(model_path), "--seed", "0",
+                     "--epochs", "1", "--batch", "64", "--lr", "1e200"])
+        assert code == 3
+        assert "non-finite parameters" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("method", [["--method", "poe"],
+                                        ["--method", "dfl", "--gamma", "0"]])
+    def test_scam_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys, method):
+        model_path = tmp_path / "m.bin"
+        code = main(["scam", *method, "--kind", "coordinate_mask", "--param", "1",
+                     "--in", huge_dir, "--out", str(model_path), "--seed", "0",
+                     "--epochs", "1", "--aux-epochs", "1", "--batch", "64",
+                     "--lr", "1e200", "--aux-lr", "1e-160"])
+        assert code == 3
+        assert "non-finite parameters" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_eval_rejects_non_finite_model(self, image_dir, tmp_path, capsys):
+        model = LinearModel(32 * 32, 2)
+        model.set_flat(np.full(model.get_flat().size, np.nan))
+        path = str(tmp_path / "nan.bin")
+        save_model(model, path)
+        assert main(["eval", "--model", path, "--in", image_dir]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [8, -8])
+    def test_eval_rejects_wrong_length_model(self, image_dir, tmp_path, capsys, cut):
+        path = tmp_path / "short.bin"
+        save_model(LinearModel(32 * 32, 2), str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+        assert main(["eval", "--model", str(path), "--in", image_dir]) == 2
+        assert "parameters" in capsys.readouterr().err
+
+
 class TestReport:
+    def test_failed_cell_exits_3_after_writing(self, tmp_path, monkeypatch, capsys):
+        def tiny(seeds):
+            config, methods = desk_nli_experiment(seeds)
+            return replace(config, n_train=48, n_eval=48,
+                           cfg_main=replace(config.cfg_main, epochs=1),
+                           cfg_aux=replace(config.cfg_aux, epochs=1)), methods
+
+        real = harness.run_method
+
+        def flaky(method, *args, **kwargs):
+            if method.name == "dfl":
+                raise TrainingError("injected failure")
+            return real(method, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "desk_nli_experiment", tiny)
+        monkeypatch.setattr(harness, "run_method", flaky)
+        out_csv, per_seed = tmp_path / "report.csv", tmp_path / "per_seed.csv"
+        code = main(["report", "--task", "nli", "--seeds", "1",
+                     "--out", str(out_csv), "--per-seed", str(per_seed)])
+        assert code == 3
+        assert "warning: dfl2+nr1 seed 0 failed: TrainingError: injected failure" in \
+            capsys.readouterr().err
+        rows = out_csv.read_text().strip().split("\n")
+        assert len(rows) == 1 + 3 * 3 * 2   # the three methods that completed
+        assert len(per_seed.read_text().strip().split("\n")) == 1 + 3 * 3
+
     def test_single_seed_image_report(self, tmp_path, capsys):
         out_csv = str(tmp_path / "report.csv")
         per_seed = str(tmp_path / "per_seed.csv")
@@ -168,3 +262,18 @@ def test_module_invocation(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "wrote 6 image examples" in result.stdout
+
+
+def test_report_is_byte_identical_across_processes(tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        summary, per_seed = tmp_path / f"{run}.csv", tmp_path / f"{run}-seeds.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "semcorrupt.cli", "report", "--task", "nli",
+             "--seeds", "1", "--out", str(summary), "--per-seed", str(per_seed)],
+            capture_output=True, text=True,
+            env=os.environ | {"PYTHONHASHSEED": "1" if run == "a" else "2"},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((summary.read_bytes(), per_seed.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -385,6 +385,14 @@ class TestTheoryChecks:
         outs = lines[1].split(",")[1].split(" ")
         assert len(outs) == 4 and set(outs) <= {"+1", "-1"}
 
+    @pytest.mark.parametrize("seed", [7, 54])
+    def test_fuzz_seeds_with_extreme_shifts_pass(self, seed):
+        """These fuzz seeds once drew a negated-coordinate shift near 1.0
+        whose posterior fell below the reweighting floor."""
+        result = fuzz_bound_checks(2000, seed=seed)
+        assert result.passed, result.detail
+        assert result.detail.startswith("2000 draws, 0 violations")
+
     def test_fuzz_bound_small_run(self):
         result = fuzz_bound_checks(30, seed=1)
         assert result.passed
