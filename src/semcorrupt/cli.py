@@ -30,7 +30,7 @@ from .harness import (
     save_model,
     verify_theory,
 )
-from .learner import FeatureSpec, LinearModel, TrainConfig, featurize, train
+from .learner import FeatureSpec, TrainConfig
 from .rng import derive_seed
 
 
@@ -69,12 +69,10 @@ def _cmd_corrupt(args) -> int:
 def _cmd_train(args) -> int:
     ds = load_dataset(args.src)
     fs = _infer_feature_spec(ds, args.ngram, args.buckets)
-    X = featurize(fs, ds.covariates)
-    model = LinearModel(X.shape[1], ds.n_classes, args.hidden, seed=args.seed)
     cfg = TrainConfig(args.epochs, args.batch, args.lr, args.wd, seed=args.seed)
-    losses = train(model, X, ds.labels, cfg)
+    model, info = run_method(MethodSpec("erm"), ds, fs, cfg, cfg, args.hidden)
     save_model(model, args.out)
-    final = losses[-1] if losses else float("nan")
+    final = info["losses"][-1] if info["losses"] else float("nan")
     print(f"trained {args.epochs} epochs, final loss {final:.4f} -> {args.out}")
     return 0
 
@@ -88,7 +86,7 @@ def _cmd_scam(args) -> int:
     cfg_main = TrainConfig(args.epochs, args.batch, args.lr, args.wd, seed=args.seed)
     cfg_aux = TrainConfig(args.aux_epochs, args.batch, args.aux_lr, args.wd,
                           seed=derive_seed(args.seed, 11))
-    model = run_method(method, ds, fs, cfg_main, cfg_aux, args.hidden)
+    model, _ = run_method(method, ds, fs, cfg_main, cfg_aux, args.hidden)
     save_model(model, args.out)
     print(f"{method.label} trained on {len(ds)} examples -> {args.out}")
     return 0

@@ -362,19 +362,49 @@ def coordinate_mask(vector: tuple, index: int, seed: int = 0) -> tuple:
 # ---------------------------------------------------------------------------
 # dispatch
 
-# kind -> (parameter validator, covariate class)
-_GRID, _PAIR, _VECTOR = "grid", "pair", "vector"
+def _shuffle_sentences(cov, n: int, seed: int):
+    """``ngram_randomize`` each sentence with sub-seed ``derive_seed(seed, 0)``
+    (premise or lone TokenSeq) or ``derive_seed(seed, 1)`` (hypothesis)."""
+    if isinstance(cov, TokenSeq):
+        return ngram_randomize(cov, n, derive_seed(seed, 0))
+    return SentencePair(ngram_randomize(cov.premise, n, derive_seed(seed, 0)),
+                        ngram_randomize(cov.hypothesis, n, derive_seed(seed, 1)))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A corruption kind: short label, parameter check (None: no parameter),
+    accepted covariate classes, whether the output depends on the seed, and
+    ``run(covariate, param, seed)``, which looks its transform up by name
+    at call time so a transform rebound at module level is the one run."""
+
+    label: str
+    check: object
+    accepts: tuple
+    stochastic: bool
+    run: object
+
+
 KINDS = {
-    "identity": (None, None),
-    "patch_randomize": (lambda p: int(p) >= 1, _GRID),
-    "roi_mask": (lambda p: int(p) >= 0, _GRID),
-    "freq_filter": (lambda p: int(p) >= 0, _GRID),
-    "intensity_filter": (lambda p: 0.0 <= float(p) <= 1.0, _GRID),
-    "rand_crop": (lambda p: 0.0 < float(p) <= 1.0, _GRID),
-    "gauss_noise": (lambda p: float(p) >= 0.0, _GRID),
-    "ngram_randomize": (lambda p: int(p) >= 1, _PAIR),
-    "premise_mask": (None, _PAIR),
-    "coordinate_mask": (lambda p: int(p) >= 0, _VECTOR),
+    "identity": Kind("id", None, (object,), False, lambda c, p, s: c),
+    "patch_randomize": Kind("pr", lambda p: int(p) >= 1, (Grid,), True,
+                            lambda c, p, s: patch_randomize(c, int(p), s)),
+    "roi_mask": Kind("rm", lambda p: int(p) >= 0, (Grid,), False,
+                     lambda c, p, s: roi_mask(c, int(p), s)),
+    "freq_filter": Kind("ff", lambda p: int(p) >= 0, (Grid,), False,
+                        lambda c, p, s: freq_filter(c, int(p), s)),
+    "intensity_filter": Kind("if", lambda p: 0.0 <= float(p) <= 1.0, (Grid,), False,
+                             lambda c, p, s: intensity_filter(c, float(p), s)),
+    "rand_crop": Kind("crop", lambda p: 0.0 < float(p) <= 1.0, (Grid,), True,
+                      lambda c, p, s: rand_crop(c, float(p), s)),
+    "gauss_noise": Kind("noise", lambda p: float(p) >= 0.0, (Grid,), True,
+                        lambda c, p, s: gauss_noise(c, float(p), s)),
+    "ngram_randomize": Kind("nr", lambda p: int(p) >= 1, (SentencePair, TokenSeq), True,
+                            lambda c, p, s: _shuffle_sentences(c, int(p), s)),
+    "premise_mask": Kind("pm", None, (SentencePair,), False,
+                         lambda c, p, s: premise_mask(c, s)),
+    "coordinate_mask": Kind("cm", lambda p: int(p) >= 0, (tuple, list), False,
+                            lambda c, p, s: coordinate_mask(tuple(c), int(p), s)),
 }
 
 
@@ -393,7 +423,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        checker, _ = KINDS[self.kind]
+        checker = KINDS[self.kind].check
         if checker is None:
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
@@ -403,18 +433,7 @@ class CorruptionSpec:
 
     @property
     def label(self) -> str:
-        short = {
-            "identity": "id",
-            "patch_randomize": "pr",
-            "roi_mask": "rm",
-            "freq_filter": "ff",
-            "intensity_filter": "if",
-            "rand_crop": "crop",
-            "gauss_noise": "noise",
-            "ngram_randomize": "nr",
-            "premise_mask": "pm",
-            "coordinate_mask": "cm",
-        }[self.kind]
+        short = KINDS[self.kind].label
         if self.param is None:
             return short
         p = self.param
@@ -422,44 +441,13 @@ class CorruptionSpec:
 
 
 def apply(spec: CorruptionSpec, covariate, example_index: int):
-    """Apply ``spec`` to one covariate with its derived per-example seed."""
-    if spec.kind == "identity":
-        return covariate
-    ex_seed = derive_seed(spec.seed, example_index)
-    _, want = KINDS[spec.kind]
-    if want == _GRID:
-        if not isinstance(covariate, Grid):
-            raise DispatchError(f"{spec.kind} expects a Grid, got {type(covariate).__name__}")
-        if spec.kind == "patch_randomize":
-            return patch_randomize(covariate, int(spec.param), ex_seed)
-        if spec.kind == "roi_mask":
-            return roi_mask(covariate, int(spec.param), ex_seed)
-        if spec.kind == "freq_filter":
-            return freq_filter(covariate, int(spec.param), ex_seed)
-        if spec.kind == "intensity_filter":
-            return intensity_filter(covariate, float(spec.param), ex_seed)
-        if spec.kind == "rand_crop":
-            return rand_crop(covariate, float(spec.param), ex_seed)
-        if spec.kind == "gauss_noise":
-            return gauss_noise(covariate, float(spec.param), ex_seed)
-    if spec.kind == "ngram_randomize":
-        if isinstance(covariate, SentencePair):
-            # each sentence gets its own derived sub-seed
-            prem = ngram_randomize(covariate.premise, int(spec.param), derive_seed(ex_seed, 0))
-            hyp = ngram_randomize(covariate.hypothesis, int(spec.param), derive_seed(ex_seed, 1))
-            return SentencePair(prem, hyp)
-        if isinstance(covariate, TokenSeq):
-            return ngram_randomize(covariate, int(spec.param), derive_seed(ex_seed, 0))
-        raise DispatchError(f"ngram_randomize expects a SentencePair or TokenSeq, got {type(covariate).__name__}")
-    if spec.kind == "premise_mask":
-        if not isinstance(covariate, SentencePair):
-            raise DispatchError(f"premise_mask expects a SentencePair, got {type(covariate).__name__}")
-        return premise_mask(covariate)
-    if spec.kind == "coordinate_mask":
-        if isinstance(covariate, (Grid, TokenSeq, SentencePair)) or not isinstance(covariate, (tuple, list)):
-            raise DispatchError(f"coordinate_mask expects a numeric tuple, got {type(covariate).__name__}")
-        return coordinate_mask(tuple(covariate), int(spec.param))
-    raise DispatchError(f"cannot apply {spec.kind} to {type(covariate).__name__}")
+    """Apply ``spec`` to one covariate; a stochastic kind gets its per-example seed."""
+    kind = KINDS[spec.kind]
+    if not isinstance(covariate, kind.accepts):
+        names = " or ".join(cls.__name__ for cls in kind.accepts)
+        raise DispatchError(f"{spec.kind} expects a {names}, got {type(covariate).__name__}")
+    seed = derive_seed(spec.seed, example_index) if kind.stochastic else spec.seed
+    return kind.run(covariate, spec.param, seed)
 
 
 def apply_all(spec: CorruptionSpec, covariates) -> list:

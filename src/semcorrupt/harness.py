@@ -130,27 +130,24 @@ def default_feature_spec(task: str) -> FeatureSpec:
 
 def run_method(method: MethodSpec, dataset: Dataset, feature_spec: FeatureSpec,
                cfg_main: TrainConfig, cfg_aux: TrainConfig, hidden: int = 0):
-    """Train one method on one dataset; returns the main model."""
+    """Train one method on one dataset; returns ``(model, info)`` like the
+    ``run_*`` routines, with the main model's per-epoch losses in
+    ``info["losses"]``."""
     if method.name == "erm":
         X = featurize(feature_spec, dataset.covariates)
         model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-        train(model, X, dataset.labels, cfg_main)
-        return model
+        return model, {"losses": train(model, X, dataset.labels, cfg_main)}
     if method.name == "nurd":
-        model, _ = run_nurd(dataset, method.corruption, feature_spec, cfg_main,
-                            cfg_aux, hidden, hidden)
-        return model
+        return run_nurd(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
+                        hidden, hidden)
     if method.name == "jtt":
-        model, _ = run_jtt(dataset, method.corruption, feature_spec, cfg_main,
-                           cfg_aux, method.lambda_up, hidden, hidden)
-        return model
+        return run_jtt(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
+                       method.lambda_up, hidden, hidden)
     if method.name == "poe":
-        model, _ = run_poe(dataset, method.corruption, feature_spec, cfg_main,
-                           cfg_aux, hidden, hidden)
-        return model
-    model, _ = run_dfl(dataset, method.corruption, feature_spec, cfg_main,
-                       cfg_aux, method.gamma, hidden, hidden)
-    return model
+        return run_poe(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
+                       hidden, hidden)
+    return run_dfl(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
+                   method.gamma, hidden, hidden)
 
 
 _SELECT_TRAIN_TAG = 20
@@ -187,8 +184,8 @@ def select_corruption_for(config: ExperimentConfig, method: MethodSpec,
 
     def score(spec: CorruptionSpec) -> float:
         candidate = replace(method, corruption=spec)
-        model = run_method(candidate, train_ds, config.feature, cfg_main,
-                           cfg_aux, config.hidden)
+        model, _ = run_method(candidate, train_ds, config.feature, cfg_main,
+                              cfg_aux, config.hidden)
         rec = evaluate(model, val, config.feature)
         if method.name == "jtt" and rec.worst_group is not None:
             return rec.worst_group
@@ -288,8 +285,8 @@ def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
         cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
         for m in methods:
             try:
-                model = run_method(m, train_ds, config.feature, cfg_main,
-                                   cfg_aux, config.hidden)
+                model, _ = run_method(m, train_ds, config.feature, cfg_main,
+                                      cfg_aux, config.hidden)
                 rec = {split: evaluate(model, ds, config.feature)
                        for split, ds in evals.items()}
                 outcomes[m.label].per_seed.append((seed, rec))
@@ -609,17 +606,48 @@ def save_model(model: LinearModel, path: str) -> None:
         fh.write(model.get_flat().astype("<f8").tobytes())
 
 
+def _json_object(text, where: str) -> dict:
+    """Parse ``text`` as a JSON object; ConfigError naming ``where`` if not."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} is not a JSON object")
+    return obj
+
+
+def _field(obj: dict, key: str, kind: type, where: str, low: int = 0):
+    """``obj[key]``, which must be a ``kind`` (an int must not be a bool and
+    must be at least ``low``); ConfigError naming ``where`` if not."""
+    value = obj.get(key)
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= low
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{where}: {key!r} is missing or not a valid {kind.__name__}")
+    return value
+
+
 def load_model(path: str) -> LinearModel:
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _MODEL_MAGIC:
             raise ConfigError(f"not a model file: {path}")
-        header = json.loads(fh.readline().decode())
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    model = LinearModel(header["n_features"], header["n_classes"], header["hidden"])
-    if flat.size != model.get_flat().size:
-        raise ConfigError(f"model file {path} holds {flat.size} parameters, "
-                          f"its header needs {model.get_flat().size}")
+        header = _json_object(fh.readline(), f"model file {path} header")
+        payload = fh.read()
+    n_features, n_classes, hidden = [
+        _field(header, key, int, f"model file {path}", low)
+        for key, low in (("n_features", 1), ("n_classes", 2), ("hidden", 0))]
+    # checked before building the model, whose size the header alone sets
+    widths = [n_features, hidden, n_classes] if hidden else [n_features, n_classes]
+    size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+    if len(payload) != 8 * size:
+        raise ConfigError(f"model file {path} holds {len(payload) / 8:g} parameters, "
+                          f"its header needs {size}")
+    model = LinearModel(n_features, n_classes, hidden)
+    flat = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(flat)):
         raise ConfigError(f"model file {path} holds non-finite parameters")
     model.set_flat(flat.astype(np.float64))
@@ -683,51 +711,85 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
 
 
 def load_dataset(dir_path: str) -> Dataset:
-    with open(os.path.join(dir_path, "meta.json")) as fh:
-        meta = json.load(fh)
-    with open(os.path.join(dir_path, "data.bin"), "rb") as fh:
+    """Read a dataset written by :func:`save_dataset`.  A damaged file
+    (missing or ill-typed meta keys, a payload or label table whose size
+    disagrees with the meta, an index column other than 0..n-1) raises
+    ConfigError."""
+    meta_path = os.path.join(dir_path, "meta.json")
+    with open(meta_path, "rb") as fh:
+        meta = _json_object(fh.read(), meta_path)
+    n = _field(meta, "n", int, meta_path, 1)
+    has_groups = _field(meta, "has_groups", bool, meta_path)
+    kind = _field(meta, "kind", str, meta_path)
+    data_path = os.path.join(dir_path, "data.bin")
+    with open(data_path, "rb") as fh:
         payload = fh.read()
-    n = meta["n"]
-    if meta["kind"] == "grid":
-        shape = tuple(meta["shape"])
-        dtype = meta.get("dtype", "<f4")
-        arr = np.frombuffer(payload, dtype=dtype).reshape((n,) + shape).astype(np.float64)
-        covs = [Grid(arr[i], unit_range=meta["unit_range"]) for i in range(n)]
-    elif meta["kind"] == "pair":
-        words = np.frombuffer(payload, dtype="<i4")
-        covs = []
+    if kind == "grid":
+        shape = tuple(_field(meta, "shape", list, meta_path))
+        dtype = _field(meta, "dtype", str, meta_path)
+        unit_range = _field(meta, "unit_range", bool, meta_path)
+        if (len(shape) != 3 or dtype not in ("<f4", "<f8")
+                or not all(isinstance(d, int) and d >= 1 for d in shape)):
+            raise ConfigError(f"{meta_path}: bad grid shape {shape} or dtype {dtype!r}")
+        arr = _payload(payload, dtype, (n,) + shape, data_path).astype(np.float64)
+        covs = [Grid(arr[i], unit_range=unit_range) for i in range(n)]
+    elif kind == "pair":
+        words = _payload(payload, "<i4", (len(payload) // 4,), data_path).tolist()
         at = 0
+
+        def take(count: int) -> list:
+            nonlocal at
+            if count < 0 or at + count > len(words):
+                raise ConfigError(f"{data_path}: pair payload ends early")
+            at += count
+            return words[at - count : at]
+
+        covs = []
         for _ in range(n):
-            mask_id = int(words[at]); at += 1
-            plen = int(words[at]); at += 1
-            prem = tuple(int(w) for w in words[at : at + plen]); at += plen
-            hlen = int(words[at]); at += 1
-            hyp = tuple(int(w) for w in words[at : at + hlen]); at += hlen
+            (mask_id,) = take(1)
+            prem = tuple(take(take(1)[0]))
+            hyp = tuple(take(take(1)[0]))
             covs.append(SentencePair(TokenSeq(prem, mask_id), TokenSeq(hyp, mask_id)))
         if at != len(words):
             raise ConfigError("trailing data in pair payload")
-    else:
-        dim = meta["dim"]
-        arr = np.frombuffer(payload, dtype="<f8").reshape(n, dim)
+    elif kind == "vector":
+        dim = _field(meta, "dim", int, meta_path)
+        arr = _payload(payload, "<f8", (n, dim), data_path)
         covs = [tuple(float(v) for v in row) for row in arr]
-    labels = []
-    nuisances = []
-    groups = []
-    with open(os.path.join(dir_path, "labels.csv")) as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            labels.append(int(parts[1]))
-            if meta["has_groups"]:
-                nuisances.append(int(parts[2]))
-                groups.append(int(parts[3]))
-    if len(labels) != n:
+    else:
+        raise ConfigError(f"{meta_path}: unknown kind {kind!r}")
+    labels_path = os.path.join(dir_path, "labels.csv")
+    header = "index,label,nuisance,group" if has_groups else "index,label"
+    with open(labels_path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != header:
+        raise ConfigError(f"{labels_path}: header is not {header!r}")
+    if len(lines) - 1 != n:
         raise ConfigError("labels.csv row count does not match meta")
+    try:
+        table = np.array([[int(v) for v in line.split(",")] for line in lines[1:]],
+                         dtype=np.int64)
+        ok = table.shape == (n, header.count(",") + 1) and (table[:, 0] == np.arange(n)).all()
+    except (ValueError, OverflowError):   # a ragged table or a non-integer cell
+        ok = False
+    if not ok:
+        raise ConfigError(f"{labels_path}: rows must be {header} integers, "
+                          f"with index 0..{n - 1}")
+    columns = table.T.copy()
     return Dataset(
         covariates=covs,
-        labels=np.array(labels, dtype=np.int64),
-        n_classes=meta["n_classes"],
-        nuisances=np.array(nuisances, dtype=np.int64) if meta["has_groups"] else None,
-        groups=np.array(groups, dtype=np.int64) if meta["has_groups"] else None,
-        provenance=meta.get("provenance", {}),
+        labels=columns[1],
+        n_classes=_field(meta, "n_classes", int, meta_path, 2),
+        nuisances=columns[2] if has_groups else None,
+        groups=columns[3] if has_groups else None,
+        provenance=_field(meta, "provenance", dict, meta_path),
     )
+
+
+def _payload(payload: bytes, dtype: str, shape: tuple, path: str) -> np.ndarray:
+    """``payload`` as an array of ``shape``; ConfigError when its length
+    does not fit."""
+    if len(payload) != np.dtype(dtype).itemsize * math.prod(shape):
+        raise ConfigError(f"{path} holds {len(payload)} bytes, which do not fit "
+                          f"{dtype} values of shape {shape}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape)

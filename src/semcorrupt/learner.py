@@ -303,7 +303,6 @@ class TrainConfig:
     lr: float
     weight_decay: float = 0.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -325,6 +324,25 @@ def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int,
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
+def sgd(cfg: TrainConfig, X: np.ndarray, step, features_for_epoch=None) -> list:
+    """The SGD epoch loop of every trainer; returns per-epoch mean losses.
+
+    Each epoch runs ``step(X_epoch, batch_index)``, which updates the models
+    and returns the batch's mean loss, on every :func:`minibatch_plan` batch
+    of ``X`` or of ``features_for_epoch(epoch)``, redrawn each epoch."""
+    losses = []
+    for epoch in range(cfg.epochs):
+        Xe = X if features_for_epoch is None else features_for_epoch(epoch)
+        total = 0.0
+        for idx in minibatch_plan(len(X), cfg.batch_size, cfg.seed, epoch):
+            loss = step(Xe, idx)
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            total += loss * len(idx)
+        losses.append(total / len(X))
+    return losses
+
+
 def train(model: LinearModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
           sample_weights: np.ndarray | None = None,
           features_for_epoch=None) -> list:
@@ -336,26 +354,22 @@ def train(model: LinearModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     """
     if len(y) == 0:
         raise TrainingError("cannot train on an empty dataset")
-    losses = []
-    for epoch in range(cfg.epochs):
-        Xe = X if features_for_epoch is None else features_for_epoch(epoch)
-        total = 0.0
-        for idx in minibatch_plan(len(y), cfg.batch_size, cfg.seed, epoch, cfg.shuffle):
-            w = None if sample_weights is None else sample_weights[idx]
-            loss, grad = ce_loss_grad(model, Xe[idx], y[idx], w, cfg.weight_decay)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            model.set_flat(model.get_flat() - cfg.lr * grad)
-            total += loss * len(idx)
-        losses.append(total / len(y))
+
+    def step(Xe, idx):
+        w = None if sample_weights is None else sample_weights[idx]
+        loss, grad = ce_loss_grad(model, Xe[idx], y[idx], w, cfg.weight_decay)
+        model.set_flat(model.get_flat() - cfg.lr * grad)
+        return loss
+
+    losses = sgd(cfg, X, step, features_for_epoch)
     check_finite(model)
     return losses
 
 
-def check_finite(model: LinearModel) -> None:
+def check_finite(*models: LinearModel) -> None:
     """Raise TrainingError when the last step left non-finite parameters;
     the per-step loss checks only see the parameters a step started from."""
-    if not np.all(np.isfinite(model.get_flat())):
+    if not all(np.all(np.isfinite(m.get_flat())) for m in models):
         raise TrainingError("non-finite parameters after the last step")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import CorruptionSpec, apply_all
+from .corruptions import KINDS, CorruptionSpec, apply_all
 from .errors import ConfigError, TrainingError
 from .families import Dataset
 from .rng import derive_seed
@@ -28,21 +28,14 @@ from .learner import (
     check_finite,
     dfl_loss_grad,
     featurize,
-    minibatch_plan,
     poe_loss_grad,
     predict,
     predict_proba,
+    sgd,
     train,
 )
 
 WEIGHT_CLIP = 1e-3
-
-# Corruption kinds whose output depends on the drawn noise.  The others are
-# deterministic functions of the covariate, so redrawing noise for them is a
-# no-op and their features are computed once.
-_STOCHASTIC_KINDS = frozenset(
-    {"patch_randomize", "rand_crop", "gauss_noise", "ngram_randomize"}
-)
 _EPOCH_NOISE_TAG = 103
 
 
@@ -62,7 +55,7 @@ def _epoch_feature_fn(dataset: Dataset, spec: CorruptionSpec,
     """Per-epoch corrupted features: epoch 0 reuses the base draw, later
     epochs redraw the corruption noise from an epoch-derived seed.  Returns
     None for deterministic corruptions (nothing to redraw)."""
-    if spec.kind not in _STOCHASTIC_KINDS:
+    if not KINDS[spec.kind].stochastic:
         return None
 
     def features(epoch: int) -> np.ndarray:
@@ -143,9 +136,9 @@ def run_nurd(dataset: Dataset, corruption: CorruptionSpec,
     weights = nurd_weights(biased, dataset)
     X = featurize(feature_spec, dataset.covariates)
     model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    train(model, X, dataset.labels, cfg_main,
-          sample_weights=weights * (len(weights) / weights.sum()))
-    return model, {"weights": weights, "biased": biased}
+    losses = train(model, X, dataset.labels, cfg_main,
+                   sample_weights=weights * (len(weights) / weights.sum()))
+    return model, {"weights": weights, "biased": biased, "losses": losses}
 
 
 def jtt_error_set(dataset: Dataset, corruption: CorruptionSpec,
@@ -181,8 +174,8 @@ def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
         X = np.concatenate([X, X[extra]])
         y = np.concatenate([y, y[extra]])
     model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    train(model, X, y, cfg_main)
-    return model, {"error_set": errors, "id_model": ident}
+    losses = train(model, X, y, cfg_main)
+    return model, {"error_set": errors, "id_model": ident, "losses": losses}
 
 
 def run_poe(dataset: Dataset, corruption: CorruptionSpec,
@@ -202,25 +195,18 @@ def run_poe(dataset: Dataset, corruption: CorruptionSpec,
     epoch_features = _epoch_feature_fn(dataset, corruption, feature_spec, Xb)
     if freeze_biased:
         train(biased, Xb, y, cfg_biased, features_for_epoch=epoch_features)
-    losses = []
-    for epoch in range(cfg_main.epochs):
-        Xb_e = Xb if epoch_features is None else epoch_features(epoch)
-        total = 0.0
-        for idx in minibatch_plan(len(y), cfg_main.batch_size, cfg_main.seed, epoch):
-            loss, g_main, g_biased = poe_loss_grad(
-                main, biased, Xm[idx], Xb_e[idx], y[idx],
-                weight_decay=cfg_main.weight_decay,
-                update_biased=not freeze_biased,
-            )
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite product loss at epoch {epoch}")
-            main.set_flat(main.get_flat() - cfg_main.lr * g_main)
-            if g_biased is not None:
-                biased.set_flat(biased.get_flat() - cfg_biased.lr * g_biased)
-            total += loss * len(idx)
-        losses.append(total / len(y))
-    check_finite(main)
-    check_finite(biased)
+
+    def step(Xb_e, idx):
+        loss, g_main, g_biased = poe_loss_grad(
+            main, biased, Xm[idx], Xb_e[idx], y[idx],
+            weight_decay=cfg_main.weight_decay, update_biased=not freeze_biased)
+        main.set_flat(main.get_flat() - cfg_main.lr * g_main)
+        if g_biased is not None:
+            biased.set_flat(biased.get_flat() - cfg_biased.lr * g_biased)
+        return loss
+
+    losses = sgd(cfg_main, Xb, step, epoch_features)
+    check_finite(main, biased)
     return main, {"biased_model": biased, "losses": losses}
 
 
@@ -242,26 +228,21 @@ def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
     biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden_biased,
                          seed=cfg_biased.seed)
     epoch_features = _epoch_feature_fn(dataset, corruption, feature_spec, Xb)
-    losses = []
-    for epoch in range(cfg_main.epochs):
-        Xb_e = Xb if epoch_features is None else epoch_features(epoch)
-        total = 0.0
-        for idx in minibatch_plan(len(y), cfg_main.batch_size, cfg_main.seed, epoch):
-            b_loss, b_grad = ce_loss_grad(biased, Xb_e[idx], y[idx], None,
-                                          cfg_biased.weight_decay)
-            if not math.isfinite(b_loss):
-                raise TrainingError(f"non-finite biased loss at epoch {epoch}")
-            biased.set_flat(biased.get_flat() - cfg_biased.lr * b_grad)
-            probs = predict_proba(biased, Xb_e[idx])
-            loss, grad = dfl_loss_grad(main, probs, Xm[idx], y[idx], gamma,
-                                       cfg_main.weight_decay)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite focus loss at epoch {epoch}")
-            main.set_flat(main.get_flat() - cfg_main.lr * grad)
-            total += loss * len(idx)
-        losses.append(total / len(y))
-    check_finite(main)
-    check_finite(biased)
+
+    def step(Xb_e, idx):
+        b_loss, b_grad = ce_loss_grad(biased, Xb_e[idx], y[idx], None,
+                                      cfg_biased.weight_decay)
+        if not math.isfinite(b_loss):
+            raise TrainingError("non-finite biased loss")
+        biased.set_flat(biased.get_flat() - cfg_biased.lr * b_grad)
+        probs = predict_proba(biased, Xb_e[idx])
+        loss, grad = dfl_loss_grad(main, probs, Xm[idx], y[idx], gamma,
+                                   cfg_main.weight_decay)
+        main.set_flat(main.get_flat() - cfg_main.lr * grad)
+        return loss
+
+    losses = sgd(cfg_main, Xb, step, epoch_features)
+    check_finite(main, biased)
     return main, {"biased_model": biased, "losses": losses}
 
 

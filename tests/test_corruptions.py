@@ -645,3 +645,31 @@ class TestApply:
             apply(CorruptionSpec("coordinate_mask", 0, seed=0), g, 0)
         with pytest.raises(DispatchError):
             apply(CorruptionSpec("roi_mask", 1, seed=0), (1.0, 2.0), 0)
+
+
+# one valid covariate and parameter per kind
+STOCHASTIC_CASES = {
+    "identity": (None, Grid(np.linspace(0, 1, 64).reshape(8, 8))),
+    "patch_randomize": (2, Grid(np.linspace(0, 1, 64).reshape(8, 8))),
+    "roi_mask": (4, Grid(np.linspace(0, 1, 64).reshape(8, 8))),
+    "freq_filter": (3, Grid(np.linspace(0, 1, 64).reshape(8, 8))),
+    "intensity_filter": (0.5, Grid(np.linspace(0, 1, 64).reshape(8, 8))),
+    "rand_crop": (0.5, Grid(np.linspace(0, 1, 64).reshape(8, 8))),
+    "gauss_noise": (0.1, Grid(np.full((8, 8), 0.5))),
+    "ngram_randomize": (1, SentencePair(TokenSeq(tuple(range(1, 9))),
+                                        TokenSeq(tuple(range(3, 11))))),
+    "premise_mask": (None, SentencePair(TokenSeq((1, 2, 3)), TokenSeq((4, 5)))),
+    "coordinate_mask": (1, (0.5, -1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_stochastic_flag_matches_behaviour(kind):
+    """A kind's output varies with the seed exactly when it is flagged
+    stochastic, which is what decides whether its noise is redrawn."""
+    param, cov = STOCHASTIC_CASES[kind]
+    outs = set()
+    for seed in range(8):
+        out = apply(CorruptionSpec(kind, param, seed), cov, 0)
+        outs.add(out.values.tobytes() if isinstance(out, Grid) else out)
+    assert (len(outs) > 1) == KINDS[kind].stochastic

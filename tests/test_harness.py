@@ -44,6 +44,7 @@ from semcorrupt.harness import (
     load_model,
     predictor_table_csv,
     run_experiment,
+    run_method,
     save_dataset,
     save_model,
     select_corruption_for,
@@ -142,6 +143,21 @@ class TestMethodSpec:
         with pytest.raises(ConfigError):
             MethodSpec("nurd")
         MethodSpec("erm")  # fine without a corruption
+
+
+class TestRunMethod:
+    @pytest.mark.parametrize("method", [
+        MethodSpec("erm"), MethodSpec("nurd", NR1), MethodSpec("jtt", NR1),
+        MethodSpec("poe", NR1), MethodSpec("dfl", NR1),
+    ], ids=lambda m: m.name)
+    def test_returns_main_model_losses(self, method):
+        ds = synthetic_nli_task(0.9, 48, 5)
+        cfg_main = TrainConfig(epochs=3, batch_size=16, lr=0.1)
+        cfg_aux = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1)
+        model, info = run_method(method, ds, default_feature_spec("nli"), cfg_main, cfg_aux)
+        assert isinstance(model, LinearModel)
+        assert len(info["losses"]) == cfg_main.epochs
+        assert all(np.isfinite(info["losses"]))
 
 
 class TestTaskHelpers:
@@ -430,6 +446,19 @@ class TestModelIO:
         with pytest.raises(ConfigError, match="not a model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("header", [b"[5, 3, 0]", b'"model"', b"{}",
+                                        b'{"n_features": 5, "hidden": 0}',
+                                        b'{"n_features": 5, "n_classes": true, "hidden": 0}',
+                                        b'{"n_features": 10000000000000, "n_classes": 3, '
+                                        b'"hidden": 0}'])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        save_model(LinearModel(5, 3), str(path))
+        magic, _, params = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, header, params]))
+        with pytest.raises(ConfigError, match="header|n_classes|n_features"):
+            load_model(str(path))
+
 
 def assert_datasets_equal(got: Dataset, want: Dataset):
     assert len(got) == len(want)
@@ -496,4 +525,14 @@ class TestDatasetIO:
         lines = labels_path.read_text().strip().split("\n")
         labels_path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ConfigError):
+            load_dataset(str(tmp_path))
+
+    def test_index_column_must_count_from_zero(self, tmp_path):
+        ds = synthetic_nli_task(0.9, 8, 5)
+        save_dataset(ds, str(tmp_path))
+        labels_path = tmp_path / "labels.csv"
+        lines = labels_path.read_text().split("\n")
+        lines[1], lines[2] = lines[2], lines[1]
+        labels_path.write_text("\n".join(lines))
+        with pytest.raises(ConfigError, match="index 0..7"):
             load_dataset(str(tmp_path))
