@@ -8,6 +8,7 @@ input, parameters, and seed give a bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -385,13 +386,18 @@ class Kind:
     run: object
 
 
+def _whole(low: int):
+    """Check for an integral parameter of at least ``low``."""
+    return lambda p: float(p) == int(p) >= low
+
+
 KINDS = {
     "identity": Kind("id", None, (object,), False, lambda c, p, s: c),
-    "patch_randomize": Kind("pr", lambda p: int(p) >= 1, (Grid,), True,
+    "patch_randomize": Kind("pr", _whole(1), (Grid,), True,
                             lambda c, p, s: patch_randomize(c, int(p), s)),
-    "roi_mask": Kind("rm", lambda p: int(p) >= 0, (Grid,), False,
+    "roi_mask": Kind("rm", _whole(0), (Grid,), False,
                      lambda c, p, s: roi_mask(c, int(p), s)),
-    "freq_filter": Kind("ff", lambda p: int(p) >= 0, (Grid,), False,
+    "freq_filter": Kind("ff", _whole(0), (Grid,), False,
                         lambda c, p, s: freq_filter(c, int(p), s)),
     "intensity_filter": Kind("if", lambda p: 0.0 <= float(p) <= 1.0, (Grid,), False,
                              lambda c, p, s: intensity_filter(c, float(p), s)),
@@ -399,11 +405,11 @@ KINDS = {
                       lambda c, p, s: rand_crop(c, float(p), s)),
     "gauss_noise": Kind("noise", lambda p: float(p) >= 0.0, (Grid,), True,
                         lambda c, p, s: gauss_noise(c, float(p), s)),
-    "ngram_randomize": Kind("nr", lambda p: int(p) >= 1, (SentencePair, TokenSeq), True,
+    "ngram_randomize": Kind("nr", _whole(1), (SentencePair, TokenSeq), True,
                             lambda c, p, s: _shuffle_sentences(c, int(p), s)),
     "premise_mask": Kind("pm", None, (SentencePair,), False,
                          lambda c, p, s: premise_mask(c, s)),
-    "coordinate_mask": Kind("cm", lambda p: int(p) >= 0, (tuple, list), False,
+    "coordinate_mask": Kind("cm", _whole(0), (tuple, list), False,
                             lambda c, p, s: coordinate_mask(tuple(c), int(p), s)),
 }
 
@@ -428,7 +434,7 @@ class CorruptionSpec:
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
         else:
-            if self.param is None or not checker(self.param):
+            if self.param is None or not math.isfinite(self.param) or not checker(self.param):
                 raise ValueError(f"bad parameter {self.param!r} for {self.kind}")
 
     @property

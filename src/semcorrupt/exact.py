@@ -167,14 +167,7 @@ def nuisance_randomize(p, rho: float = None) -> JointTable:
             y_m[y] = y_m.get(y, 0.0) + q
         z_m = {z: math.fsum(y_m[y] * zgy.get((z, y), 0.0) for y in fam.y_support)
                for z in fam.z_support}
-        out: dict = {}
-        for (x, z, xs), q in fam.x_given_z_xstar.items():
-            for y in fam.y_support:
-                mass = fam.y_xstar.get((y, xs), 0.0) * z_m[z] * q
-                if mass != 0.0:
-                    key = (y, z, x)
-                    out[key] = out.get(key, 0.0) + mass
-        return JointTable(("y", "z", "x"), out)
+        return fam.assemble({(z, y): z_m[z] for z in fam.z_support for y in fam.y_support})
     if rho is not None:
         raise ValueError("rho only applies to the family form")
     y_m = p.marginal("y").cells
@@ -192,18 +185,31 @@ def nuisance_randomize(p, rho: float = None) -> JointTable:
     return JointTable(("y", "z", "x"), out)
 
 
+def _pushforward(cells: Mapping, corruption: FiniteCorruption):
+    """``(key, q, pd, t)`` for every cell and every noise value d of mass
+    pd != 0, with ``t = corruption.fn(x, d)``; x is the last variable."""
+    for key, q in cells.items():
+        for d, pd in corruption.delta_pmf.items():
+            if pd != 0.0:
+                yield key, q, pd, corruption.fn(key[-1], d)
+
+
+def _label_posterior(post: dict, t, y) -> float:
+    """p(y | t) from ``post``, refused below ``POSTERIOR_FLOOR``."""
+    pt = post.get(t, {}).get(y, 0.0)
+    if pt < POSTERIOR_FLOOR:
+        raise UndefinedWeightError(f"posterior for label {y!r} under corrupted value "
+                                   f"{t!r} is below {POSTERIOR_FLOOR}")
+    return pt
+
+
 def _posterior_given_corrupted(p: JointTable, corruption: FiniteCorruption) -> dict:
     """p(y | t) where t = corruption(x, delta) under the training joint."""
-    yx = p.marginal("y", "x")
     joint_yt: dict = {}
     t_mass: dict = {}
-    for (y, x), q in yx.cells.items():
-        for d, pd in corruption.delta_pmf.items():
-            if pd == 0.0:
-                continue
-            t = corruption.fn(x, d)
-            joint_yt[(y, t)] = joint_yt.get((y, t), 0.0) + q * pd
-            t_mass[t] = t_mass.get(t, 0.0) + q * pd
+    for (y, _x), q, pd, t in _pushforward(p.marginal("y", "x").cells, corruption):
+        joint_yt[(y, t)] = joint_yt.get((y, t), 0.0) + q * pd
+        t_mass[t] = t_mass.get(t, 0.0) + q * pd
     post: dict = {}
     for (y, t), q in joint_yt.items():
         post.setdefault(t, {})[y] = q / t_mass[t]
@@ -227,23 +233,11 @@ def _reweighted_measure(p: JointTable, corruption: FiniteCorruption) -> dict:
     Sums to one exactly when every corrupted value leaves all labels
     possible; a leaky corruption loses mass instead.
     """
-    yx = p.marginal("y", "x")
     y_m = p.marginal("y").cells
     post = _posterior_given_corrupted(p, corruption)
     out: dict = {}
-    for (y, x), q in yx.cells.items():
-        acc = 0.0
-        for d, pd in corruption.delta_pmf.items():
-            if pd == 0.0:
-                continue
-            t = corruption.fn(x, d)
-            denom = post.get(t, {}).get(y, 0.0)
-            if denom < POSTERIOR_FLOOR:
-                raise UndefinedWeightError(
-                    f"posterior for label {y!r} under corrupted value {t!r} is below {POSTERIOR_FLOOR}"
-                )
-            acc += pd * y_m[(y,)] / denom * q
-        out[(y, x)] = acc
+    for (y, x), q, pd, t in _pushforward(p.marginal("y", "x").cells, corruption):
+        out[(y, x)] = out.get((y, x), 0.0) + pd * y_m[(y,)] / _label_posterior(post, t, y) * q
     return out
 
 
@@ -257,14 +251,9 @@ def corruption_randomize(p: JointTable, corruption: FiniteCorruption) -> JointTa
 
 def extend_with_corruption(p: JointTable, corruption: FiniteCorruption) -> JointTable:
     """Joint over (y, z, t) with t the corrupted covariate."""
-    yzx = p.marginal("y", "z", "x")
     out: dict = {}
-    for (y, z, x), q in yzx.cells.items():
-        for d, pd in corruption.delta_pmf.items():
-            if pd == 0.0:
-                continue
-            t = corruption.fn(x, d)
-            out[(y, z, t)] = out.get((y, z, t), 0.0) + q * pd
+    for (y, z, _x), q, pd, t in _pushforward(p.marginal("y", "z", "x").cells, corruption):
+        out[(y, z, t)] = out.get((y, z, t), 0.0) + q * pd
     return JointTable(("y", "z", "t"), out)
 
 
@@ -290,19 +279,10 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption, slack: float =
     post_z = p.posterior("y", "z")
     eps2 = 0.0
     m2 = 0.0
-    for (y, z, x), q in pp.cells.items():
-        pz = post_z[z].get(y, 0.0)
-        for d, pd in corruption.delta_pmf.items():
-            if pd == 0.0:
-                continue
-            t = corruption.fn(x, d)
-            pt = post_t.get(t, {}).get(y, 0.0)
-            if pt < POSTERIOR_FLOOR:
-                raise UndefinedWeightError(
-                    f"posterior for label {y!r} under corrupted value {t!r} is below {POSTERIOR_FLOOR}"
-                )
-            eps2 += q * pd * (pt - pz) ** 2
-            m2 += q * pd / (pt * pt)
+    for (y, z, _x), q, pd, t in _pushforward(pp.cells, corruption):
+        pt = _label_posterior(post_t, t, y)
+        eps2 += q * pd * (pt - post_z[z].get(y, 0.0)) ** 2
+        m2 += q * pd / (pt * pt)
     epsilon = math.sqrt(eps2)
     moment = math.sqrt(m2)
     target = pp.marginal("y", "x").cells

@@ -37,7 +37,10 @@ class DiscreteFamily:
     def joint(self, rho: float) -> JointTable:
         if not 0.0 <= rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        zgy = self.z_given_y(rho)
+        return self.assemble(self.z_given_y(rho))
+
+    def assemble(self, zgy: Mapping) -> JointTable:
+        """The (y, z, x) joint p(y, x*) zgy[(z, y)] p(x | z, x*)."""
         cells = {}
         for (x, z, xs), q in self.x_given_z_xstar.items():
             for y in self.y_support:
@@ -264,6 +267,17 @@ def sample_family(family: DiscreteFamily, rho: float, n: int, seed: int) -> Data
     )
 
 
+def _drawn(n: int, seed: int, draw: Callable, provenance: dict) -> Dataset:
+    """Binary-label dataset of n examples; example i is
+    ``draw(Stream(derive_seed(seed, i))) -> (covariate, y, z)`` and its
+    group is 2y + z."""
+    rows = [draw(Stream(derive_seed(seed, i))) for i in range(n)]
+    labels = np.array([y for _c, y, _z in rows])
+    nuis = np.array([z for _c, _y, z in rows])
+    return Dataset(covariates=[c for c, _y, _z in rows], labels=labels, n_classes=2,
+                   nuisances=nuis, groups=2 * labels + nuis, provenance=provenance)
+
+
 # ---------------------------------------------------------------------------
 # image task
 
@@ -321,27 +335,18 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
         raise ValueError("rho must lie in [0, 1]")
     p_same = 1.0 - rho if flip else rho
     lo, hi = GLYPH_ORIGIN, GLYPH_ORIGIN + GLYPH_SPAN
-    covs, labels, nuis, groups = [], [], [], []
-    for i in range(n):
-        stream = Stream(derive_seed(seed, i))
+
+    def draw(stream: Stream):
         y = stream.below(2)
         z = y if stream.uniform() < p_same else 1 - y
         img = _TEXTURES[z].copy()
         img[lo:hi, lo:hi] = _GLYPHS[y]
         img += PIXEL_NOISE_SD * stream.normals(IMG_SIZE * IMG_SIZE).reshape(IMG_SIZE, IMG_SIZE)
         img = np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
-        covs.append(Grid(img))
-        labels.append(y)
-        nuis.append(z)
-        groups.append(2 * y + z)
-    return Dataset(
-        covariates=covs,
-        labels=np.array(labels),
-        n_classes=2,
-        nuisances=np.array(nuis),
-        groups=np.array(groups),
-        provenance={"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip},
-    )
+        return Grid(img), y, z
+
+    return _drawn(n, seed, draw,
+                  {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +389,8 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    covs, labels, nuis, groups = [], [], [], []
-    for i in range(n):
-        stream = Stream(derive_seed(seed, i))
+
+    def draw(stream: Stream):
         y = stream.below(2)
         p_neg = rho if y == 0 else 1.0 - rho
         if flip:
@@ -401,16 +405,7 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
         u, v = premise[at], premise[at + 1]
         content = (u, v) if y == 1 else (v, u)
         hyp = content + (NEG_TOKEN,) if z else content
-        pair = SentencePair(TokenSeq(premise, MASK_ID), TokenSeq(hyp, MASK_ID))
-        covs.append(pair)
-        labels.append(y)
-        nuis.append(z)
-        groups.append(2 * y + z)
-    return Dataset(
-        covariates=covs,
-        labels=np.array(labels),
-        n_classes=2,
-        nuisances=np.array(nuis),
-        groups=np.array(groups),
-        provenance={"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip},
-    )
+        return SentencePair(TokenSeq(premise, MASK_ID), TokenSeq(hyp, MASK_ID)), y, z
+
+    return _drawn(n, seed, draw,
+                  {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})

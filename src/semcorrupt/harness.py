@@ -269,6 +269,8 @@ def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
         raise ConfigError("method labels must be unique")
+    if not config.seeds:
+        raise ConfigError("an experiment needs at least one seed")
     outcomes = {m.label: MethodOutcome() for m in methods}
     for seed in config.seeds:
         train_ds = generate_task(config.task, config.rho_train, config.n_train,
@@ -533,6 +535,8 @@ def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
     rho stays inside [0.05, 0.95] and the mean shifts are capped so no
     observed posterior degenerates below the reweighting floor.
     """
+    if count < 0:
+        raise ConfigError(f"fuzz draw count must be >= 0, got {count}")
     stream = Stream(derive_seed(seed, 777))
     worst_margin = -math.inf
     failures = 0

@@ -219,8 +219,8 @@ def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
     with the biased output held constant.  gamma 0 reproduces ERM bit for
     bit; the biased updates share the main batch schedule and never touch
     the main model's state."""
-    if gamma < 0.0:
-        raise ConfigError("gamma must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
     Xm = featurize(feature_spec, dataset.covariates)
     Xb = corrupted_features(dataset, corruption, feature_spec)
     y = dataset.labels

@@ -339,6 +339,68 @@ def ref_flip_accuracy(predictions: dict, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# corruption-reweighting bound, enumerated
+
+def _add(table: dict, key, value: float) -> None:
+    table[key] = table.get(key, 0.0) + value
+
+
+def ref_corruption_bound(cells: dict, fn, delta_pmf: dict) -> dict:
+    """The quantities of the corruption-reweighting bound, summed over every
+    (y, z, x, d) straight from their definitions.
+
+    ``cells`` maps (y, z, x) to p(y, z, x), ``delta_pmf`` maps each noise
+    value d to p(d) and ``fn(x, d)`` is the corrupted covariate t.  With
+    p_perp(y, z, x) = p(y) p(z) p(y, z, x) / p(y, z):
+
+    * ``epsilon`` = sqrt(sum p_perp(y, z, x) p(d) (p(y | t) - p(y | z))^2);
+    * ``moment`` = sqrt(sum p_perp(y, z, x) p(d) / p(y | t)^2);
+    * ``l1`` = sum over (y, x) of |p_perp(y, x) - r(y, x)|, where
+      r(y, x) = sum over (z, d) of p(y, z, x) p(d) p(y) / p(y | t);
+    * ``post_t`` {t: {y: p(y | t)}} and ``post_z`` {z: {y: p(y | z)}};
+    * ``yzt`` {(y, z, t): p(y, z, t)} and ``reweighted`` r / sum(r).
+
+    A term with p(y, z, x) p(d) = 0 adds nothing, so a noise value of zero
+    mass neither reaches a t nor needs p(y | t).
+    """
+    terms = [(y, z, x, cells[(y, z, x)] * pd, pd, fn(x, d))
+             for (y, z, x) in cells for d, pd in delta_pmf.items()
+             if cells[(y, z, x)] > 0.0 and pd > 0.0]
+    p_y, p_z, p_yz = {}, {}, {}
+    for (y, z, _x), q in cells.items():
+        _add(p_y, y, q)
+        _add(p_z, z, q)
+        _add(p_yz, (y, z), q)
+    p_t, p_yt, yzt = {}, {}, {}
+    for y, z, _x, m, _pd, t in terms:
+        _add(p_t, t, m)
+        _add(p_yt, (y, t), m)
+        _add(yzt, (y, z, t), m)
+    post_t, post_z = {}, {}
+    for (y, t), m in p_yt.items():
+        post_t.setdefault(t, {})[y] = m / p_t[t]
+    for (y, z), m in p_yz.items():
+        if m > 0.0:
+            post_z.setdefault(z, {})[y] = m / p_z[z]
+    eps2, m2, perp_yx, raw = [], [], {}, {}
+    for y, z, x, m, pd, t in terms:
+        perp = p_y[y] * p_z[z] * cells[(y, z, x)] / p_yz[(y, z)]
+        pt = post_t[t][y]
+        eps2.append(perp * pd * (pt - post_z[z].get(y, 0.0)) ** 2)
+        m2.append(perp * pd / (pt * pt))
+        _add(raw, (y, x), m * p_y[y] / pt)
+    for (y, z, x), q in cells.items():
+        if q > 0.0:
+            _add(perp_yx, (y, x), p_y[y] * p_z[z] * q / p_yz[(y, z)])
+    l1 = math.fsum(abs(perp_yx.get(k, 0.0) - raw.get(k, 0.0))
+                   for k in set(perp_yx) | set(raw))
+    total = math.fsum(raw.values())
+    return {"epsilon": math.sqrt(math.fsum(eps2)), "moment": math.sqrt(math.fsum(m2)),
+            "l1": l1, "post_t": post_t, "post_z": post_z, "yzt": yzt,
+            "reweighted": {k: v / total for k, v in raw.items()}}
+
+
+# ---------------------------------------------------------------------------
 # numerical differentiation
 
 def central_difference(fn, x: list, step: float = 1e-5) -> list:

@@ -137,6 +137,28 @@ class TestExitCodes:
                      "--epochs", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["corrupt", "--kind", "patch_randomize", "--param", "inf"],
+        ["corrupt", "--kind", "patch_randomize", "--param", "8.5"],
+        ["scam", "--method", "nurd", "--kind", "roi_mask", "--param", "inf"],
+    ], ids=["corrupt-inf", "corrupt-fraction", "scam-inf"])
+    def test_bad_corruption_parameter(self, image_dir, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--in", image_dir, "--seed", "0", "--out", str(out)]) == 2
+        assert "bad parameter" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-theory", "--fuzz", "-5", "--table"],
+        ["report", "--task", "nli", "--seeds", "0", "--out"],
+        ["report", "--task", "image", "--seeds", "-1", "--out"],
+    ], ids=["negative-fuzz", "zero-seeds", "negative-seeds"])
+    def test_empty_runs_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_file(self, image_dir, tmp_path, capsys):
         code = main(["eval", "--model", str(tmp_path / "nope.bin"),
                      "--in", image_dir])
@@ -170,6 +192,16 @@ class TestNonFiniteNumerics:
                      "--epochs", "1", flag, value])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+    def test_bad_gamma_is_usage_error(self, image_dir, tmp_path, capsys, gamma):
+        model_path = tmp_path / "m.bin"
+        code = main(["scam", "--method", "dfl", "--gamma", gamma, "--kind", "patch_randomize",
+                     "--param", "8", "--in", image_dir, "--out", str(model_path),
+                     "--seed", "0", "--epochs", "1", "--aux-epochs", "1"])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_train_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys):
@@ -253,12 +285,19 @@ class TestReport:
         assert stdout.count("flipped-test accuracy") == 7
 
 
+# subprocesses import the package from where this process found it, so the
+# tests also run where only pytest's own ``pythonpath`` setting points at it
+SUBPROCESS_ENV = os.environ | {"PYTHONPATH": os.pathsep.join(
+    filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
+                  os.environ.get("PYTHONPATH"))))}
+
+
 def test_module_invocation(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "semcorrupt.cli", "gen", "--task", "image",
          "--rho", "0.5", "--n", "6", "--seed", "1",
          "--out", str(tmp_path / "d")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert result.returncode == 0, result.stderr
     assert "wrote 6 image examples" in result.stdout
@@ -272,7 +311,7 @@ def test_report_is_byte_identical_across_processes(tmp_path):
             [sys.executable, "-m", "semcorrupt.cli", "report", "--task", "nli",
              "--seeds", "1", "--out", str(summary), "--per-seed", str(per_seed)],
             capture_output=True, text=True,
-            env=os.environ | {"PYTHONHASHSEED": "1" if run == "a" else "2"},
+            env=SUBPROCESS_ENV | {"PYTHONHASHSEED": "1" if run == "a" else "2"},
         )
         assert result.returncode == 0, result.stderr
         outputs.append((summary.read_bytes(), per_seed.read_bytes()))

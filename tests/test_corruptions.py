@@ -1,5 +1,7 @@
 """Covariate types and the corruption operators, pinned against oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -570,6 +572,15 @@ class TestCorruptionSpec:
             CorruptionSpec("intensity_filter", 1.5)
         with pytest.raises(ValueError):
             CorruptionSpec("premise_mask", 1)
+        for kind in ("patch_randomize", "roi_mask", "freq_filter", "ngram_randomize",
+                     "coordinate_mask"):
+            for param in (math.inf, -math.inf, math.nan, 8.5):
+                with pytest.raises(ValueError):
+                    CorruptionSpec(kind, param)
+        for kind in ("intensity_filter", "rand_crop", "gauss_noise"):
+            for param in (math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    CorruptionSpec(kind, param)
 
     def test_labels(self):
         assert CorruptionSpec("identity").label == "id"

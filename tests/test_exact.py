@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semcorrupt.exact import (
     BINARY_INPUTS,
@@ -26,7 +27,7 @@ from semcorrupt.families import (
     xor_sign_family,
 )
 
-from reference import ref_flip_accuracy
+from reference import ref_corruption_bound, ref_flip_accuracy
 
 
 def table_sum(table):
@@ -379,3 +380,55 @@ class TestCorruptionBound:
                 report = corruption_bound(fam.joint(rho), corr)
                 assert report.holds, (fam.name, rho)
                 assert report.l1 <= report.epsilon * report.moment + 1e-9
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A small (y, z, x) joint with every (y, z) pair present, and a finite
+    corruption t = table[(x, d)] whose noise pmf may give some d zero mass,
+    so that some t are reached only through zero-mass noise."""
+    ny, nz, nx, nd = (draw(st.integers(1, k)) for k in (3, 3, 4, 3))
+    keys = [(y, z, x) for y in range(ny) for z in range(nz) for x in range(nx)]
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
+    for i, (y, z, x) in enumerate(keys):
+        if x == (y + z) % nx:   # every (y, z) pair keeps some mass
+            weights[i] += 1
+    noise = draw(st.lists(st.integers(0, 3), min_size=nd, max_size=nd))
+    if not any(noise):
+        noise[0] = 1
+    table = dict(zip([(x, d) for x in range(nx) for d in range(nd)],
+                     draw(st.lists(st.integers(0, 5), min_size=nx * nd, max_size=nx * nd))))
+    cells = {k: w / sum(weights) for k, w in zip(keys, weights) if w}
+    pmf = {d: w / sum(noise) for d, w in enumerate(noise)}
+    return cells, FiniteCorruption(lambda x, d: table[(x, d)], pmf), set(table.values())
+
+
+def assert_close_tables(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert math.isclose(got[key], value, rel_tol=1e-12, abs_tol=1e-12), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_tables())
+def test_corruption_engine_matches_enumerated_oracle(case):
+    """corruption_bound, extend_with_corruption, corruption_randomize and
+    biased_posterior against sums over every (y, z, x, d).  epsilon is
+    compared squared: its square root turns a rounding error of 1e-18 in a
+    zero sum into 1e-9."""
+    cells, corruption, reachable = case
+    p = JointTable(("y", "z", "x"), cells)
+    ref = ref_corruption_bound(cells, corruption.fn, corruption.delta_pmf)
+    rep = corruption_bound(p, corruption)
+    assert math.isclose(rep.epsilon ** 2, ref["epsilon"] ** 2, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(rep.moment, ref["moment"], rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(rep.l1, ref["l1"], rel_tol=1e-12, abs_tol=1e-12)
+    assert rep.holds and ref["l1"] <= ref["moment"] * ref["epsilon"] + 1e-9
+    assert_close_tables(extend_with_corruption(p, corruption).cells, ref["yzt"])
+    assert_close_tables(corruption_randomize(p, corruption).cells, ref["reweighted"])
+    post = biased_posterior(p, corruption)
+    for t, row in ref["post_t"].items():
+        assert_close_tables(post.at(t), row)
+    for t in reachable - set(ref["post_t"]):
+        with pytest.raises(UndefinedWeightError):
+            post.at(t)
