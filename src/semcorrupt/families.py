@@ -16,9 +16,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .corruptions import Grid, SentencePair, TokenSeq
+from .corruptions import GRID_CHUNK, SentencePair, TokenSeq, grid_rows
 from .exact import JointTable
-from .rng import Stream, derive_seed
+from .rng import Stream, box_muller, derive_seed, derive_seeds, stream_words, uniform_words
 
 
 @dataclass(frozen=True)
@@ -267,15 +267,19 @@ def sample_family(family: DiscreteFamily, rho: float, n: int, seed: int) -> Data
     )
 
 
+def _binary(covariates: list, labels, nuis, provenance: dict) -> Dataset:
+    """Binary-label dataset whose group is 2y + z."""
+    labels, nuis = np.asarray(labels, dtype=np.int64), np.asarray(nuis, dtype=np.int64)
+    return Dataset(covariates=covariates, labels=labels, n_classes=2,
+                   nuisances=nuis, groups=2 * labels + nuis, provenance=provenance)
+
+
 def _drawn(n: int, seed: int, draw: Callable, provenance: dict) -> Dataset:
     """Binary-label dataset of n examples; example i is
-    ``draw(Stream(derive_seed(seed, i))) -> (covariate, y, z)`` and its
-    group is 2y + z."""
+    ``draw(Stream(derive_seed(seed, i))) -> (covariate, y, z)``."""
     rows = [draw(Stream(derive_seed(seed, i))) for i in range(n)]
-    labels = np.array([y for _c, y, _z in rows])
-    nuis = np.array([z for _c, _y, z in rows])
-    return Dataset(covariates=[c for c, _y, _z in rows], labels=labels, n_classes=2,
-                   nuisances=nuis, groups=2 * labels + nuis, provenance=provenance)
+    return _binary([c for c, _y, _z in rows], [y for _c, y, _z in rows],
+                   [z for _c, _y, z in rows], provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +303,7 @@ def _texture_layers():
     return even, odd
 
 
-_TEXTURES = _texture_layers()
+_TEXTURES = np.stack(_texture_layers())
 
 
 def _cos_profile() -> np.ndarray:
@@ -315,7 +319,28 @@ def _glyph_block(label: int) -> np.ndarray:
     return GLYPH_MID + GLYPH_AMP * sign * np.outer(profile, profile)
 
 
-_GLYPHS = (_glyph_block(0), _glyph_block(1))
+_GLYPHS = np.stack([_glyph_block(0), _glyph_block(1)])
+# one example's stream words: the label, the nuisance uniform, then the
+# pixel noise as Box-Muller uniform pairs
+_IMAGE_WORDS = 2 + IMG_SIZE * IMG_SIZE
+
+
+def _image_rows(seeds: np.ndarray, p_same: float) -> tuple:
+    """(pixels (rows, 32, 32, 1), labels, nuisances) of the examples whose
+    streams are seeded ``seeds``, each drawn as ``Stream`` would: ``y =
+    below(2)``, ``z = y if uniform() < p_same else 1 - y``, then
+    ``normals(1024)`` of pixel noise."""
+    words = stream_words(seeds, _IMAGE_WORDS)
+    # below(2) takes one word and never rejects it: 2**64 % 2 == 0
+    y = (words[:, 0] % np.uint64(2)).astype(np.int64)
+    u = uniform_words(words[:, 1:])
+    z = np.where(u[:, 0] < p_same, y, 1 - y)
+    lo, hi = GLYPH_ORIGIN, GLYPH_ORIGIN + GLYPH_SPAN
+    img = _TEXTURES[z]
+    img[:, lo:hi, lo:hi] = _GLYPHS[y]
+    img += PIXEL_NOISE_SD * box_muller(u[:, 1:]).reshape(-1, IMG_SIZE, IMG_SIZE)
+    img = np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
+    return img[..., np.newaxis], y, z
 
 
 def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> Dataset:
@@ -334,19 +359,14 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     p_same = 1.0 - rho if flip else rho
-    lo, hi = GLYPH_ORIGIN, GLYPH_ORIGIN + GLYPH_SPAN
-
-    def draw(stream: Stream):
-        y = stream.below(2)
-        z = y if stream.uniform() < p_same else 1 - y
-        img = _TEXTURES[z].copy()
-        img[lo:hi, lo:hi] = _GLYPHS[y]
-        img += PIXEL_NOISE_SD * stream.normals(IMG_SIZE * IMG_SIZE).reshape(IMG_SIZE, IMG_SIZE)
-        img = np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
-        return Grid(img), y, z
-
-    return _drawn(n, seed, draw,
-                  {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
+    index = np.arange(n)
+    labels, nuis, covs = np.empty_like(index), np.empty_like(index), []
+    for at in range(0, len(index), GRID_CHUNK):
+        rows = index[at:at + GRID_CHUNK]
+        img, labels[rows], nuis[rows] = _image_rows(derive_seeds(seed, rows), p_same)
+        covs += grid_rows(img)
+    return _binary(covs, labels, nuis,
+                   {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corruptions import CorruptionSpec, Grid, SentencePair, TokenSeq
+from .corruptions import CorruptionSpec, Grid, SentencePair, TokenSeq, grid_rows
 from .errors import ConfigError
 from .exact import (
     BINARY_INPUTS,
@@ -535,8 +535,8 @@ def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
     rho stays inside [0.05, 0.95] and the mean shifts are capped so no
     observed posterior degenerates below the reweighting floor.
     """
-    if count < 0:
-        raise ConfigError(f"fuzz draw count must be >= 0, got {count}")
+    if count < 1:
+        raise ConfigError(f"fuzz draw count must be >= 1, got {count}")
     stream = Stream(derive_seed(seed, 777))
     worst_margin = -math.inf
     failures = 0
@@ -563,7 +563,9 @@ def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
             failures += 1
             details.append(f"{fam.name} rho={rho:.3f}: l1 {rep.l1:.3e} > bound")
     ok = failures == 0
-    note = f"{count} draws, {failures} violations, worst excess {worst_margin:.3e}"
+    note = f"{count} draws, {failures} violations"
+    if worst_margin > -math.inf:   # some draw produced a bound
+        note += f", worst excess {worst_margin:.3e}"
     if details:
         note += "; " + "; ".join(details[:3])
     return CheckResult("fuzz-bound", ok, note)
@@ -736,7 +738,7 @@ def load_dataset(dir_path: str) -> Dataset:
                 or not all(isinstance(d, int) and d >= 1 for d in shape)):
             raise ConfigError(f"{meta_path}: bad grid shape {shape} or dtype {dtype!r}")
         arr = _payload(payload, dtype, (n,) + shape, data_path).astype(np.float64)
-        covs = [Grid(arr[i], unit_range=unit_range) for i in range(n)]
+        covs = grid_rows(arr, unit_range=unit_range)
     elif kind == "pair":
         words = _payload(payload, "<i4", (len(payload) // 4,), data_path).tolist()
         at = 0

@@ -95,14 +95,6 @@ def bag_of_ngrams(spec: FeatureSpec, covariates, shuffle=None) -> np.ndarray:
     return counts.astype(np.float64).reshape(examples, -1)
 
 
-def _featurize_one(spec: FeatureSpec, cov) -> np.ndarray:
-    if spec.kind == "flatten_grid":
-        if not isinstance(cov, Grid):
-            raise DispatchError("flatten_grid expects a Grid")
-        return cov.values.ravel().astype(np.float64)
-    return np.asarray(cov, dtype=np.float64).ravel()
-
-
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
     """Stack per-example feature vectors into an (n, d) float64 matrix."""
     covariates = list(covariates)
@@ -110,7 +102,11 @@ def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
         return np.zeros((0, 0))
     if spec.kind == "bag_of_ngrams":
         return bag_of_ngrams(spec, covariates)
-    return np.stack([_featurize_one(spec, c) for c in covariates])
+    if spec.kind == "flatten_grid":
+        if not all(isinstance(c, Grid) for c in covariates):
+            raise DispatchError("flatten_grid expects a Grid")
+        return np.stack([c.values.reshape(-1) for c in covariates])
+    return np.stack([np.asarray(c, dtype=np.float64).ravel() for c in covariates])
 
 
 class LinearModel:

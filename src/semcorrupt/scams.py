@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import KINDS, CorruptionSpec, apply_all
+from .corruptions import KINDS, CorruptionSpec, apply_all, batches_grids, grid_chunks
 from .errors import ConfigError, TrainingError
 from .families import Dataset
 from .rng import derive_seed
@@ -44,10 +44,18 @@ def corrupted_features(dataset: Dataset, spec: CorruptionSpec,
     """Apply the corruption to every example (noise keyed by example index)
     and featurize the results.  N-gram shuffles under bag-of-n-gram
     features go from token arrays to shuffled token arrays to the feature
-    matrix, building no per-example objects."""
+    matrix, and grid kinds under ``flatten_grid`` fill the matrix one
+    :func:`grid_chunks` chunk at a time, building no per-example objects."""
+    covs = dataset.covariates
     if spec.kind == "ngram_randomize" and feature_spec.kind == "bag_of_ngrams":
-        return bag_of_ngrams(feature_spec, dataset.covariates, shuffle=spec)
-    return featurize(feature_spec, apply_all(spec, dataset.covariates))
+        return bag_of_ngrams(feature_spec, covs, shuffle=spec)
+    if (feature_spec.kind == "flatten_grid" and covs and batches_grids(spec, covs)
+            and len({c.values.size for c in covs}) == 1):
+        X = np.empty((len(covs), covs[0].values.size))
+        for rows, values in grid_chunks(spec, covs):
+            X[rows] = values.reshape(len(rows), -1)
+        return X
+    return featurize(feature_spec, apply_all(spec, covs))
 
 
 def _epoch_feature_fn(dataset: Dataset, spec: CorruptionSpec,

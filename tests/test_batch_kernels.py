@@ -1,9 +1,10 @@
-"""Array kernels of the token path, against the scalar oracles.
+"""Array kernels of the token and grid paths, against the scalar oracles.
 
-Bag-of-n-gram hashing, batched n-gram shuffles, vectorized seed derivation
-and long-list shuffles must give the bits of the documented scalar
-definitions in ``reference.py``, including on the rare words that ``below``
-rejects, which are forced here by inverting the SplitMix64 finalizer.
+Bag-of-n-gram hashing, batched n-gram shuffles, vectorized seed derivation,
+long-list shuffles and the grid corruption kernels must give the bits of
+the documented scalar definitions in ``reference.py`` and of their one-row
+calls, including on the rare words that ``below`` rejects, which are forced
+here by inverting the SplitMix64 finalizer.
 """
 
 import numpy as np
@@ -11,13 +12,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semcorrupt.corruptions import (
+    GRID_CHUNK,
     CorruptionSpec,
+    Grid,
     SentencePair,
     TokenSeq,
     apply,
     apply_all,
+    freq_filter,
+    freq_filter_rows,
+    grid_rows,
+    intensity_filter,
+    intensity_filter_rows,
     ngram_randomize,
     ngram_source,
+    patch_randomize,
+    patch_rows,
+    roi_mask,
+    roi_mask_rows,
 )
 from semcorrupt.errors import DispatchError
 from semcorrupt.families import Dataset
@@ -31,6 +43,7 @@ from reference import (
     ref_block_shuffle,
     ref_derive_preimage,
     ref_derive_seed,
+    ref_freq_filter,
     ref_ngram_bucket,
     ref_permutation,
     ref_seed_with_word,
@@ -241,3 +254,141 @@ def test_corrupted_features_keeps_lone_sequence_subseed():
     fs = FeatureSpec("bag_of_ngrams", ngram=2, buckets=16)
     want = np.array([ref_row(fs, ref_shuffled(c, 1, 11, i)) for i, c in enumerate(covs)])
     assert np.array_equal(corrupted_features(dataset(covs), spec, fs), want)
+
+
+# ---------------------------------------------------------------------------
+# grid kernels
+
+grid_batches = st.builds(
+    lambda rows, h, w, c, key: np.random.default_rng(key).random((rows, h, w, c)),
+    st.integers(1, 5), st.integers(1, 9), st.integers(1, 9), st.integers(1, 3),
+    st.integers(0, 2**32 - 1))
+row_seeds = st.lists(seeds, min_size=5, max_size=5).map(
+    lambda ss: np.array([s & MASK64 for s in ss], dtype=np.uint64))
+
+
+def divisors(h: int, w: int) -> list:
+    return [p for p in range(1, min(h, w) + 1) if h % p == 0 and w % p == 0]
+
+
+def ref_patch_shuffle(values: np.ndarray, patch: int, seed: int) -> np.ndarray:
+    """Output slot i takes input patch ref_permutation(...)[i], row-major."""
+    h, w, _ = values.shape
+    per_row = w // patch
+    out = np.empty_like(values)
+    for slot, src in enumerate(ref_permutation((h // patch) * per_row, seed)):
+        (tr, tc), (sr, sc) = divmod(slot, per_row), divmod(src, per_row)
+        out[tr * patch:(tr + 1) * patch, tc * patch:(tc + 1) * patch] = \
+            values[sr * patch:(sr + 1) * patch, sc * patch:(sc + 1) * patch]
+    return out
+
+
+def grid_dataset(n: int, shape: tuple, key: int) -> Dataset:
+    rng = np.random.default_rng(key)
+    return dataset([Grid(rng.random(shape)) for _ in range(n)])
+
+
+@given(grid_batches, row_seeds)
+@KERNEL
+def test_patch_rows_match_one_row_calls_and_oracle(values, seeds_):
+    rows, h, w, _ = values.shape
+    for patch in divisors(h, w):
+        batch = patch_rows(values, patch, seeds_[:rows])
+        for r in range(rows):
+            one = patch_randomize(Grid(values[r]), patch, int(seeds_[r])).values
+            assert batch[r].tobytes() == one.tobytes()
+            assert np.array_equal(one, ref_patch_shuffle(values[r], patch, int(seeds_[r])))
+
+
+@given(grid_batches, st.floats(0.0, 1.0))
+@KERNEL
+def test_deterministic_grid_kernels_match_one_row_calls(values, threshold):
+    rows, h, w, _ = values.shape
+    cases = [(roi_mask_rows, roi_mask, size) for size in range(min(h, w) + 1)]
+    cases += [(freq_filter_rows, freq_filter, cutoff) for cutoff in range(min(h, w) + 1)]
+    cases.append((intensity_filter_rows, intensity_filter, threshold))
+    for kernel, one_row, param in cases:
+        batch = kernel(values, param)
+        assert batch.shape == values.shape and batch.dtype == np.float64
+        for r in range(rows):
+            assert batch[r].tobytes() == one_row(Grid(values[r]), param).values.tobytes()
+
+
+@given(grid_batches.filter(lambda v: v.shape[1] * v.shape[2] <= 30), st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_freq_filter_rows_match_dft_oracle(values, cutoff):
+    _, h, w, channels = values.shape
+    cutoff = min(cutoff, h, w)
+    out = freq_filter_rows(values, cutoff)
+    for r in range(len(values)):
+        for ch in range(channels):
+            want = ref_freq_filter(values[r, :, :, ch].tolist(), cutoff)
+            assert np.allclose(out[r, :, :, ch], np.array(want), atol=1e-9)
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_patch_shuffle_redraws_rejected_row(index):
+    """2x2 patches draw below(4), below(3), below(2); the second word of
+    example ``index``'s stream is 2**64 - 1, which below(3) rejects."""
+    target = ref_seed_with_word(REJECTED_FOR_3, 2)
+    spec_seed = ref_derive_preimage(target, index)
+    assert ref_derive_seed(spec_seed, index) == target
+    values = np.random.default_rng(5).random((5, 4, 6, 2))
+    stream_seeds = np.array([ref_derive_seed(spec_seed, i) for i in range(5)], dtype=np.uint64)
+    want = [ref_patch_shuffle(v, 2, int(s)) for v, s in zip(values, stream_seeds)]
+    assert np.array_equal(patch_rows(values, 2, stream_seeds), np.array(want))
+    grids = [Grid(v) for v in values]
+    spec = CorruptionSpec("patch_randomize", 2, spec_seed)
+    assert [g.values.tobytes() for g in apply_all(spec, grids)] == [w.tobytes() for w in want]
+    fs = FeatureSpec("flatten_grid")
+    assert np.array_equal(corrupted_features(dataset(grids), spec, fs),
+                          np.array(want).reshape(5, -1))
+
+
+KIND_PARAMS = [("identity", None), ("patch_randomize", 2), ("roi_mask", 3),
+               ("freq_filter", 2), ("intensity_filter", 0.5), ("rand_crop", 0.5),
+               ("gauss_noise", 0.01)]
+
+
+@pytest.mark.parametrize("kind,param", KIND_PARAMS)
+def test_corrupted_grid_features_span_chunks(kind, param):
+    ds = grid_dataset(GRID_CHUNK + 7, (4, 6, 2), key=3)
+    spec = CorruptionSpec(kind, param, 11)
+    fs = FeatureSpec("flatten_grid")
+    corrupted = apply_all(spec, ds.covariates)
+    assert [g.values.tobytes() for g in corrupted] == \
+        [apply(spec, g, i).values.tobytes() for i, g in enumerate(ds.covariates)]
+    X = corrupted_features(ds, spec, fs)
+    assert X.dtype == np.float64
+    assert np.array_equal(X, featurize(fs, corrupted))
+
+
+def test_apply_all_batches_each_shape_apart():
+    rng = np.random.default_rng(8)
+    grids = [Grid(rng.random((4, 4, 1) if i % 3 else (4, 6, 3))) for i in range(GRID_CHUNK + 3)]
+    for kind, param in KIND_PARAMS[1:5]:
+        spec = CorruptionSpec(kind, param, 4)
+        assert [g.values.tobytes() for g in apply_all(spec, grids)] == \
+            [apply(spec, g, i).values.tobytes() for i, g in enumerate(grids)]
+
+
+def test_grid_kinds_reject_other_covariates():
+    spec = CorruptionSpec("freq_filter", 1, 0)
+    with pytest.raises(DispatchError):
+        apply_all(spec, [Grid(np.zeros((2, 2))), (1.0, 2.0)])
+    with pytest.raises(DispatchError):
+        corrupted_features(dataset([Grid(np.zeros((2, 2))), (1.0, 2.0)]), spec,
+                           FeatureSpec("flatten_grid"))
+
+
+def test_grid_rows_check_like_grid():
+    values = np.full((2, 3, 3, 1), 0.5)
+    grids = grid_rows(values)
+    assert [g.values.shape for g in grids] == [(3, 3, 1)] * 2
+    with pytest.raises(ValueError):
+        grids[0].values[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        grid_rows(np.full((2, 3, 3, 1), 1.5))
+    assert grid_rows(np.full((2, 3, 3, 1), 1.5), unit_range=False)[1].values.max() == 1.5
+    with pytest.raises(ValueError):
+        grid_rows(np.full((1, 2, 2, 1), np.nan), unit_range=False)

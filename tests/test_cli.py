@@ -150,9 +150,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["verify-theory", "--fuzz", "-5", "--table"],
+        ["verify-theory", "--fuzz", "0", "--table"],
         ["report", "--task", "nli", "--seeds", "0", "--out"],
         ["report", "--task", "image", "--seeds", "-1", "--out"],
-    ], ids=["negative-fuzz", "zero-seeds", "negative-seeds"])
+    ], ids=["negative-fuzz", "zero-fuzz", "zero-seeds", "negative-seeds"])
     def test_empty_runs_are_usage_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
         assert main([*argv, str(out)]) == 2

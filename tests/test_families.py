@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semcorrupt.corruptions import SentencePair, TokenSeq, ngram_randomize
+from semcorrupt.corruptions import GRID_CHUNK, SentencePair, TokenSeq, ngram_randomize
 from semcorrupt.families import (
     BG_LEVEL,
     CONTENT_VOCAB,
@@ -314,6 +314,23 @@ class TestImageTask:
             y, z, rows = ref_image_example(6, i, p_same=1.0 - 0.8)
             assert (ds.labels[i], ds.nuisances[i]) == (y, z)
             assert np.max(np.abs(ds.covariates[i].values[:, :, 0] - np.array(rows))) <= 1e-9
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_every_example_of_several_chunks_matches_reference(self, flip):
+        """Examples are drawn GRID_CHUNK at a time; each must still be the
+        scalar per-example stream's, bit for bit."""
+        n = 2 * GRID_CHUNK + 5
+        ds = synthetic_image_task(0.7, n, seed=19, flip=flip)
+        assert len(ds) == n
+        for i in range(n):
+            y, z, rows = ref_image_example(19, i, p_same=0.3 if flip else 0.7)
+            assert (ds.labels[i], ds.nuisances[i], ds.groups[i]) == (y, z, 2 * y + z)
+            assert ds.covariates[i].values.tobytes() == np.array(rows)[:, :, None].tobytes()
+
+    def test_grids_are_read_only(self):
+        grid = synthetic_image_task(0.9, 3, seed=1).covariates[2]
+        with pytest.raises(ValueError):
+            grid.values[0, 0, 0] = 0.5
 
     def test_independent_member_decorrelates(self):
         ds = synthetic_image_task(0.5, 10000, seed=0)

@@ -414,6 +414,19 @@ class TestTheoryChecks:
         assert result.passed
         assert "30 draws, 0 violations" in result.detail
 
+    def test_fuzz_note_without_any_bound(self, monkeypatch):
+        """When every draw raises, no excess exists to report."""
+        from semcorrupt import harness
+
+        def undefined(*args):
+            raise ZeroDivisionError("no bound")
+
+        monkeypatch.setattr(harness, "corruption_bound", undefined)
+        result = fuzz_bound_checks(3, seed=0)
+        assert not result.passed
+        assert result.detail.startswith("3 draws, 3 violations; ")
+        assert "worst excess" not in result.detail and "inf" not in result.detail
+
 
 # ---------------------------------------------------------------------------
 # serialization
