@@ -65,6 +65,7 @@ from .harness import (
     run_method,
     save_dataset,
     save_model,
+    score_features,
     select_corruption_for,
     verify_theory,
 )
@@ -84,6 +85,7 @@ from .learner import (
 from .rng import Stream, derive_seed, mix64
 from .scams import (
     BiasedModel,
+    FeatureStore,
     build_biased_model,
     jtt_error_set,
     nurd_weights,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
-from .errors import TrainingError, UndefinedWeightError
+from .errors import ConfigError, TrainingError, UndefinedWeightError
 from .families import Dataset
 from .harness import (
     MethodSpec,
@@ -95,8 +95,9 @@ def _cmd_scam(args) -> int:
 def _cmd_eval(args) -> int:
     ds = load_dataset(args.src)
     model = load_model(args.model)
-    fs = _infer_feature_spec(ds, args.ngram, args.buckets)
-    rec = evaluate(model, ds, fs)
+    if model.feature_spec is None:
+        raise ConfigError(f"model file {args.model} records no feature spec")
+    rec = evaluate(model, ds, model.feature_spec)
     if args.as_json:
         out = {"accuracy": rec.accuracy, "n": rec.n}
         if rec.worst_group is not None:
@@ -196,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--in", dest="src", required=True)
     e.add_argument("--json", dest="as_json", action="store_true")
-    e.add_argument("--ngram", type=int, default=2)
-    e.add_argument("--buckets", type=int, default=64)
     e.set_defaults(func=_cmd_eval)
 
     v = sub.add_parser("verify-theory", help="run the exact-distribution checks")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,15 @@ from .families import (
 )
 from .learner import FeatureSpec, LinearModel, TrainConfig, featurize, predict, train
 from .rng import Stream, derive_seed
-from .scams import run_dfl, run_jtt, run_nurd, run_poe, select_corruption
+from .scams import (
+    FeatureStore,
+    feature_store,
+    run_dfl,
+    run_jtt,
+    run_nurd,
+    run_poe,
+    select_corruption,
+)
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -53,9 +61,17 @@ class MetricsRecord:
 def evaluate(model: LinearModel, dataset: Dataset, feature_spec: FeatureSpec) -> MetricsRecord:
     """Overall accuracy plus per-group and worst-group when the dataset
     carries group annotations."""
+    return score_features(model, featurize(feature_spec, dataset.covariates), dataset)
+
+
+def score_features(model: LinearModel, X: np.ndarray, dataset: Dataset) -> MetricsRecord:
+    """:func:`evaluate` on the dataset's features ``X``; ConfigError when
+    they are not as wide as the model's input."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    X = featurize(feature_spec, dataset.covariates)
+    if X.shape[1] != model.n_features:
+        raise ConfigError(f"the dataset has {X.shape[1]} features, "
+                          f"the model takes {model.n_features}")
     preds = predict(model, X)
     hits = preds == dataset.labels
     acc = float(hits.mean())
@@ -129,25 +145,32 @@ def default_feature_spec(task: str) -> FeatureSpec:
 
 
 def run_method(method: MethodSpec, dataset: Dataset, feature_spec: FeatureSpec,
-               cfg_main: TrainConfig, cfg_aux: TrainConfig, hidden: int = 0):
+               cfg_main: TrainConfig, cfg_aux: TrainConfig, hidden: int = 0,
+               store: FeatureStore | None = None):
     """Train one method on one dataset; returns ``(model, info)`` like the
     ``run_*`` routines, with the main model's per-epoch losses in
-    ``info["losses"]``."""
+    ``info["losses"]`` and ``feature_spec`` recorded on the model.
+    ``store``, a :class:`FeatureStore` of this dataset and feature spec,
+    shares features and batch plans with other methods on it."""
+    store = feature_store(store, dataset, feature_spec)
     if method.name == "erm":
-        X = featurize(feature_spec, dataset.covariates)
+        X = store.clean()
         model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-        return model, {"losses": train(model, X, dataset.labels, cfg_main)}
-    if method.name == "nurd":
-        return run_nurd(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
-                        hidden, hidden)
-    if method.name == "jtt":
-        return run_jtt(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
-                       method.lambda_up, hidden, hidden)
-    if method.name == "poe":
-        return run_poe(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
-                       hidden, hidden)
-    return run_dfl(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
-                   method.gamma, hidden, hidden)
+        info = {"losses": train(model, X, dataset.labels, cfg_main, plan=store.plan)}
+    elif method.name == "nurd":
+        model, info = run_nurd(dataset, method.corruption, feature_spec, cfg_main,
+                               cfg_aux, hidden, hidden, store)
+    elif method.name == "jtt":
+        model, info = run_jtt(dataset, method.corruption, feature_spec, cfg_main,
+                              cfg_aux, method.lambda_up, hidden, hidden, store)
+    elif method.name == "poe":
+        model, info = run_poe(dataset, method.corruption, feature_spec, cfg_main,
+                              cfg_aux, hidden, hidden, store=store)
+    else:
+        model, info = run_dfl(dataset, method.corruption, feature_spec, cfg_main,
+                              cfg_aux, method.gamma, hidden, hidden, store)
+    model.feature_spec = feature_spec
+    return model, info
 
 
 _SELECT_TRAIN_TAG = 20
@@ -181,12 +204,14 @@ def select_corruption_for(config: ExperimentConfig, method: MethodSpec,
                             derive_seed(seed, _SELECT_VAL_TAG))
     cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
     cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
+    store = FeatureStore(train_ds, config.feature)
+    X_val = featurize(config.feature, val.covariates)
 
     def score(spec: CorruptionSpec) -> float:
         candidate = replace(method, corruption=spec)
         model, _ = run_method(candidate, train_ds, config.feature, cfg_main,
-                              cfg_aux, config.hidden)
-        rec = evaluate(model, val, config.feature)
+                              cfg_aux, config.hidden, store)
+        rec = score_features(model, X_val, val)
         if method.name == "jtt" and rec.worst_group is not None:
             return rec.worst_group
         return rec.accuracy
@@ -260,11 +285,21 @@ def _stats(values) -> tuple:
     return mean, sd, sd / math.sqrt(k) if k else 0.0, k
 
 
+def _eval_split(config: ExperimentConfig, split: str, seed: int) -> Dataset:
+    """Evaluation split ``split`` of ``seed``: in distribution, flipped, or
+    with label and nuisance independent."""
+    tag, rho, flip = {"test_iid": (2, config.rho_train, False),
+                      "test_flipped": (3, config.rho_train, True),
+                      "test_balanced": (4, 0.5, False)}[split]
+    return generate_task(config.task, rho, config.n_eval, derive_seed(seed, tag), flip)
+
+
 def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
-    """Full sweep: per seed, generate train/eval splits once, run every
-    method, evaluate on held-out in-distribution, flipped, and balanced
-    sets.  A failure in one (method, seed) cell is recorded and the sweep
-    continues."""
+    """Full sweep: per seed, train every method on one training set through
+    one :class:`FeatureStore`, then generate each held-out split
+    (in-distribution, flipped, balanced), featurize it once and score every
+    trained model on it.  A failure in one (method, seed) cell is recorded
+    and the sweep continues."""
     methods = tuple(methods)
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
@@ -275,25 +310,32 @@ def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
     for seed in config.seeds:
         train_ds = generate_task(config.task, config.rho_train, config.n_train,
                                  derive_seed(seed, 1))
-        evals = {
-            "test_iid": generate_task(config.task, config.rho_train, config.n_eval,
-                                      derive_seed(seed, 2)),
-            "test_flipped": generate_task(config.task, config.rho_train, config.n_eval,
-                                          derive_seed(seed, 3), flip=True),
-            "test_balanced": generate_task(config.task, 0.5, config.n_eval,
-                                           derive_seed(seed, 4)),
-        }
+        store = FeatureStore(train_ds, config.feature)
         cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
         cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
+        models, records = {}, {}
         for m in methods:
             try:
-                model, _ = run_method(m, train_ds, config.feature, cfg_main,
-                                      cfg_aux, config.hidden)
-                rec = {split: evaluate(model, ds, config.feature)
-                       for split, ds in evals.items()}
-                outcomes[m.label].per_seed.append((seed, rec))
+                models[m.label], _ = run_method(m, train_ds, config.feature, cfg_main,
+                                                cfg_aux, config.hidden, store)
+                records[m.label] = {}
             except Exception as exc:   # record and move on
                 outcomes[m.label].errors.append((seed, f"{type(exc).__name__}: {exc}"))
+        del train_ds, store
+        for split in SPLITS:
+            if not records:   # no model left to score
+                break
+            ds = _eval_split(config, split, seed)
+            X = featurize(config.feature, ds.covariates)
+            for label in list(records):
+                try:
+                    records[label][split] = score_features(models[label], X, ds)
+                except Exception as exc:
+                    outcomes[label].errors.append((seed, f"{type(exc).__name__}: {exc}"))
+                    del records[label]
+            del ds, X
+        for label, rec in records.items():
+            outcomes[label].per_seed.append((seed, rec))
     return ExperimentResult(config, methods, outcomes)
 
 
@@ -601,11 +643,13 @@ _MODEL_MAGIC = b"SEMCORRUPT-MODEL-1\n"
 
 
 def save_model(model: LinearModel, path: str) -> None:
-    header = json.dumps({
-        "n_features": model.n_features,
-        "n_classes": model.n_classes,
-        "hidden": model.hidden,
-    })
+    """Magic line, JSON header line (sizes, and the model's feature spec
+    when it has one), then the flat parameters as little-endian doubles."""
+    header = {"n_features": model.n_features, "n_classes": model.n_classes,
+              "hidden": model.hidden}
+    if model.feature_spec is not None:
+        header["features"] = asdict(model.feature_spec)
+    header = json.dumps(header)
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(header.encode() + b"\n")
@@ -657,7 +701,22 @@ def load_model(path: str) -> LinearModel:
     if not np.all(np.isfinite(flat)):
         raise ConfigError(f"model file {path} holds non-finite parameters")
     model.set_flat(flat.astype(np.float64))
+    if "features" in header:
+        model.feature_spec = _feature_spec(header["features"], f"model file {path}")
     return model
+
+
+def _feature_spec(obj, where: str) -> FeatureSpec:
+    """The FeatureSpec a model header records; ConfigError naming ``where``
+    if it is not one."""
+    fields = {"kind": str, "ngram": int, "buckets": int, "pair_mode": str}
+    if not isinstance(obj, dict) or set(obj) != set(fields):
+        raise ConfigError(f"{where}: 'features' must hold exactly {sorted(fields)}")
+    try:
+        return FeatureSpec(**{key: _field(obj, key, kind, where)
+                              for key, kind in fields.items()})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, dir_path: str) -> None:
@@ -679,11 +738,11 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
         # single-precision payload when it loses nothing (generated grids are
         # snapped to single precision); otherwise keep full doubles so that the
         # save -> load round trip is always bit-exact.
-        lossless32 = bool((arr.astype("<f4").astype(np.float64) == arr).all())
-        dtype = "<f4" if lossless32 else "<f8"
+        a32 = arr.astype("<f4")
+        payload = a32 if (a32 == arr).all() else arr.astype("<f8", copy=False)
+        del a32
         meta |= {"kind": "grid", "shape": list(arr.shape[1:]),
-                 "unit_range": unit, "dtype": dtype}
-        payload = arr.astype(dtype).tobytes()
+                 "unit_range": unit, "dtype": payload.dtype.str}
     elif isinstance(first, SentencePair):
         words = []
         for pair in dataset.covariates:
@@ -693,12 +752,12 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
             words.append(len(pair.hypothesis.tokens))
             words.extend(pair.hypothesis.tokens)
         meta |= {"kind": "pair"}
-        payload = np.array(words, dtype="<i4").tobytes()
+        payload = np.array(words, dtype="<i4")
     else:
         arr = np.array([np.asarray(c, dtype=np.float64).ravel()
                         for c in dataset.covariates])
         meta |= {"kind": "vector", "dim": int(arr.shape[1])}
-        payload = arr.astype("<f8").tobytes()
+        payload = arr.astype("<f8", copy=False)
     with open(os.path.join(dir_path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

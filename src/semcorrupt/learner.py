@@ -60,39 +60,65 @@ class FeatureSpec:
         return self.buckets
 
 
-def bag_of_ngrams(spec: FeatureSpec, covariates, shuffle=None) -> np.ndarray:
-    """The ``bag_of_ngrams`` matrix of token covariates, hashed as arrays.
+class NgramLayout:
+    """Where every n-gram window of some token covariates lands in their
+    ``bag_of_ngrams`` matrix, built once: the flat token ids, the segments
+    (one per sentence) and, per window, its first token and its row's
+    first cell.  A draw of the tokens in the same segments (an n-gram
+    shuffle keeps every length) is hashed by :meth:`window_buckets` into
+    one small bucket id per window and counted by :meth:`counts`."""
 
-    An n-gram window lands in bucket ``derive_seed(n, *window) % buckets``;
-    every window of every length of every sentence is hashed by one
-    :func:`derive_seeds` call per length.  ``shuffle``, an ``ngram_randomize``
+    def __init__(self, spec: FeatureSpec, covariates):
+        seqs, self.rows, self.tags = token_segments(covariates,
+                                                    spec.pair_mode == "hypothesis_only")
+        self.buckets = spec.buckets
+        self.examples = int(self.rows[-1]) + 1 if seqs else 0
+        per_example = np.bincount(self.rows)
+        if (per_example != per_example[:1]).any():
+            raise DispatchError("bag_of_ngrams cannot mix sentence pairs and lone sequences")
+        self.lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        try:
+            self.ids = np.fromiter(chain.from_iterable(seqs), np.uint64,
+                                   int(self.lengths.sum()))
+        except OverflowError:   # ids of 2**64 and above
+            self.ids = as_words([t for seq in seqs for t in seq])
+        segment = np.repeat(np.arange(len(seqs)), self.lengths)
+        room = np.repeat(np.cumsum(self.lengths), self.lengths) - np.arange(len(self.ids))
+        self.windows = [np.flatnonzero(room >= n) for n in range(1, spec.ngram + 1)]
+        self.cells = np.concatenate([segment[at] * self.buckets for at in self.windows])
+        self.dtype = np.min_scalar_type(self.buckets - 1)
+
+    def shuffled(self, shuffle) -> np.ndarray:
+        """The flat token ids after ``shuffle``, an ``ngram_randomize``
+        CorruptionSpec, exactly as ``apply`` with each example's index."""
+        return self.ids[ngram_source(self.lengths, int(shuffle.param),
+                                     segment_seeds(shuffle.seed, self.rows, self.tags))]
+
+    def window_buckets(self, ids: np.ndarray) -> np.ndarray:
+        """The bucket ``derive_seed(n, *window) % buckets`` of every window,
+        one :func:`derive_seeds` call per n-gram length, in the smallest
+        unsigned dtype that holds a bucket id."""
+        return np.concatenate([
+            derive_seeds(n, *(ids[at + k] for k in range(n))) % np.uint64(self.buckets)
+            for n, at in enumerate(self.windows, 1)]).astype(self.dtype)
+
+    def counts(self, window_buckets: np.ndarray) -> np.ndarray:
+        """The (examples, d) float64 count matrix of one draw's buckets."""
+        if not self.examples:
+            return np.zeros((0, 0))
+        counts = np.bincount(self.cells + window_buckets,
+                             minlength=len(self.lengths) * self.buckets)
+        return counts.astype(np.float64).reshape(self.examples, -1)
+
+
+def bag_of_ngrams(spec: FeatureSpec, covariates, shuffle=None) -> np.ndarray:
+    """The ``bag_of_ngrams`` matrix of token covariates, hashed as arrays
+    through an :class:`NgramLayout`.  ``shuffle``, an ``ngram_randomize``
     CorruptionSpec, first shuffles each sentence on the flat token array
-    exactly as ``apply`` with the example's index would.
-    """
-    seqs, rows, tags = token_segments(covariates, spec.pair_mode == "hypothesis_only")
-    if not seqs:
-        return np.zeros((0, 0))
-    examples = int(rows[-1]) + 1
-    per_example = np.bincount(rows)
-    if (per_example != per_example[0]).any():
-        raise DispatchError("bag_of_ngrams cannot mix sentence pairs and lone sequences")
-    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-    try:
-        ids = np.fromiter(chain.from_iterable(seqs), np.uint64, int(lengths.sum()))
-    except OverflowError:   # ids of 2**64 and above
-        ids = as_words([t for seq in seqs for t in seq])
-    if shuffle is not None:
-        ids = ids[ngram_source(lengths, int(shuffle.param),
-                               segment_seeds(shuffle.seed, rows, tags))]
-    segment = np.repeat(np.arange(len(seqs)), lengths)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
-    cells = []
-    for n in range(1, spec.ngram + 1):
-        at = np.flatnonzero(room >= n)
-        key = derive_seeds(n, *(ids[at + k] for k in range(n)))
-        cells.append(segment[at] * spec.buckets + (key % np.uint64(spec.buckets)).astype(np.int64))
-    counts = np.bincount(np.concatenate(cells), minlength=len(seqs) * spec.buckets)
-    return counts.astype(np.float64).reshape(examples, -1)
+    exactly as ``apply`` with the example's index would."""
+    layout = NgramLayout(spec, covariates)
+    ids = layout.ids if shuffle is None else layout.shuffled(shuffle)
+    return layout.counts(layout.window_buckets(ids))
 
 
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
@@ -114,8 +140,12 @@ class LinearModel:
 
     The linear form starts at zero; the hidden form draws uniform
     +-1/sqrt(fan_in) entries from a stream derived from ``seed``.  Flat
-    parameter order is W then b per layer.
+    parameter order is W then b per layer.  ``feature_spec`` is the
+    featurization its inputs come from, when known; ``save_model`` records
+    it and ``semcorrupt eval`` featurizes with it.
     """
+
+    feature_spec: FeatureSpec | None = None
 
     def __init__(self, n_features: int, n_classes: int, hidden: int = 0, seed: int = 0):
         if n_features < 1 or n_classes < 2:
@@ -162,11 +192,23 @@ class LinearModel:
         if at != flat.size:
             raise ValueError("flat vector has wrong length")
 
+    def descend(self, lr: float, grad: np.ndarray) -> None:
+        """One SGD step in place: each array of the current ``weights`` and
+        ``biases`` lists less ``lr`` times its slice of the flat gradient
+        (``get_flat`` order), the same IEEE operations as
+        ``set_flat(get_flat() - lr * grad)``."""
+        at = 0
+        for w, b in zip(self.weights, self.biases):
+            for p in (w, b):
+                p -= lr * grad[at : at + p.size].reshape(p.shape)
+                at += p.size
+
     def copy(self) -> "LinearModel":
         dup = LinearModel.__new__(LinearModel)
         dup.n_features = self.n_features
         dup.n_classes = self.n_classes
         dup.hidden = self.hidden
+        dup.feature_spec = self.feature_spec
         dup.weights = [w.copy() for w in self.weights]
         dup.biases = [b.copy() for b in self.biases]
         return dup
@@ -320,17 +362,21 @@ def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int,
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
-def sgd(cfg: TrainConfig, X: np.ndarray, step, features_for_epoch=None) -> list:
+def sgd(cfg: TrainConfig, X: np.ndarray, step, features_for_epoch=None,
+        plan=None) -> list:
     """The SGD epoch loop of every trainer; returns per-epoch mean losses.
 
     Each epoch runs ``step(X_epoch, batch_index)``, which updates the models
-    and returns the batch's mean loss, on every :func:`minibatch_plan` batch
-    of ``X`` or of ``features_for_epoch(epoch)``, redrawn each epoch."""
+    and returns the batch's mean loss, on every batch of ``plan`` (a
+    function with :func:`minibatch_plan`'s arguments and batches, by
+    default that one) over ``X`` or ``features_for_epoch(epoch)``, redrawn
+    each epoch."""
+    plan = plan or minibatch_plan
     losses = []
     for epoch in range(cfg.epochs):
         Xe = X if features_for_epoch is None else features_for_epoch(epoch)
         total = 0.0
-        for idx in minibatch_plan(len(X), cfg.batch_size, cfg.seed, epoch):
+        for idx in plan(len(X), cfg.batch_size, cfg.seed, epoch):
             loss = step(Xe, idx)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
@@ -341,12 +387,13 @@ def sgd(cfg: TrainConfig, X: np.ndarray, step, features_for_epoch=None) -> list:
 
 def train(model: LinearModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
           sample_weights: np.ndarray | None = None,
-          features_for_epoch=None) -> list:
+          features_for_epoch=None, plan=None) -> list:
     """Plain SGD on the weighted CE; returns per-epoch mean losses.
 
     ``features_for_epoch`` (epoch -> matrix) substitutes a fresh feature
     matrix each epoch, for inputs whose noise should be redrawn rather than
-    frozen; the labels and batch schedule are unaffected.
+    frozen; the labels and batch schedule are unaffected.  ``plan`` is
+    passed to :func:`sgd`.
     """
     if len(y) == 0:
         raise TrainingError("cannot train on an empty dataset")
@@ -354,10 +401,10 @@ def train(model: LinearModel, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     def step(Xe, idx):
         w = None if sample_weights is None else sample_weights[idx]
         loss, grad = ce_loss_grad(model, Xe[idx], y[idx], w, cfg.weight_decay)
-        model.set_flat(model.get_flat() - cfg.lr * grad)
+        model.descend(cfg.lr, grad)
         return loss
 
-    losses = sgd(cfg, X, step, features_for_epoch)
+    losses = sgd(cfg, X, step, features_for_epoch, plan)
     check_finite(model)
     return losses
 

@@ -22,12 +22,14 @@ from .rng import derive_seed
 from .learner import (
     FeatureSpec,
     LinearModel,
+    NgramLayout,
     TrainConfig,
     bag_of_ngrams,
     ce_loss_grad,
     check_finite,
     dfl_loss_grad,
     featurize,
+    minibatch_plan,
     poe_loss_grad,
     predict,
     predict_proba,
@@ -58,21 +60,91 @@ def corrupted_features(dataset: Dataset, spec: CorruptionSpec,
     return featurize(feature_spec, apply_all(spec, covs))
 
 
-def _epoch_feature_fn(dataset: Dataset, spec: CorruptionSpec,
-                      feature_spec: FeatureSpec, first_epoch: np.ndarray):
-    """Per-epoch corrupted features: epoch 0 reuses the base draw, later
-    epochs redraw the corruption noise from an epoch-derived seed.  Returns
-    None for deterministic corruptions (nothing to redraw)."""
-    if not KINDS[spec.kind].stochastic:
-        return None
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    def features(epoch: int) -> np.ndarray:
-        if epoch == 0:
-            return first_epoch
-        fresh = replace(spec, seed=derive_seed(spec.seed, _EPOCH_NOISE_TAG, epoch))
-        return corrupted_features(dataset, fresh, feature_spec)
 
-    return features
+class FeatureStore:
+    """The pure work every method trained on one dataset with one feature
+    spec shares, handed out read-only:
+
+    * :meth:`clean`, the features of the untouched covariates, computed
+      once;
+    * :meth:`corrupted`, one corrupted draw per CorruptionSpec (so every
+      per-epoch redraw seed is a key of its own).  N-gram shuffles under
+      bag-of-n-gram features are kept as per-window bucket ids in the
+      smallest unsigned dtype over one :class:`NgramLayout` of the dataset
+      and counted into a fresh matrix on each request; other draws are float
+      matrices too large to keep, so they are computed on each request;
+    * :meth:`plan`, each :func:`minibatch_plan`, its batches as views of
+      one index array in the smallest unsigned dtype.
+
+    A ``run_*`` routine called without a store builds its own; a sweep
+    builds one per training set and passes it to every method."""
+
+    def __init__(self, dataset: Dataset, feature_spec: FeatureSpec):
+        self.dataset = dataset
+        self.feature_spec = feature_spec
+        self._clean = None
+        self._layout = None
+        self._draws = {}
+        self._plans = {}
+
+    def clean(self) -> np.ndarray:
+        if self._clean is None:
+            self._clean = _read_only(featurize(self.feature_spec, self.dataset.covariates))
+        return self._clean
+
+    def corrupted(self, spec: CorruptionSpec) -> np.ndarray:
+        """:func:`corrupted_features` of the dataset under ``spec`` (the
+        clean features for ``identity``, which changes nothing)."""
+        if spec.kind == "identity":
+            return self.clean()
+        if spec.kind != "ngram_randomize" or self.feature_spec.kind != "bag_of_ngrams":
+            return _read_only(corrupted_features(self.dataset, spec, self.feature_spec))
+        if self._layout is None:
+            self._layout = NgramLayout(self.feature_spec, self.dataset.covariates)
+        if spec not in self._draws:
+            self._draws[spec] = self._layout.window_buckets(self._layout.shuffled(spec))
+        return _read_only(self._layout.counts(self._draws[spec]))
+
+    def epoch_features(self, spec: CorruptionSpec, first_epoch: np.ndarray):
+        """Per-epoch corrupted features: epoch 0 is ``first_epoch``, the
+        draw under ``spec``; later epochs redraw the corruption noise from an
+        epoch-derived seed.  None for deterministic corruptions (nothing to
+        redraw)."""
+        if not KINDS[spec.kind].stochastic:
+            return None
+
+        def features(epoch: int) -> np.ndarray:
+            if epoch == 0:
+                return first_epoch
+            return self.corrupted(
+                replace(spec, seed=derive_seed(spec.seed, _EPOCH_NOISE_TAG, epoch)))
+
+        return features
+
+    def plan(self, n: int, batch_size: int, seed: int, epoch: int) -> tuple:
+        """:func:`minibatch_plan`'s batches for these arguments."""
+        key = (n, batch_size, seed, epoch)
+        if key not in self._plans:
+            batches = minibatch_plan(n, batch_size, seed, epoch)
+            order = _read_only(np.concatenate(batches).astype(np.min_scalar_type(n)))
+            self._plans[key] = tuple(order[s : s + batch_size]
+                                     for s in range(0, n, batch_size))
+        return self._plans[key]
+
+
+def feature_store(store, dataset: Dataset, feature_spec: FeatureSpec) -> FeatureStore:
+    """The store a routine given ``store`` uses: ``store`` itself, or a new
+    one when None; ConfigError when it was built for another dataset or
+    feature spec."""
+    if store is None:
+        return FeatureStore(dataset, feature_spec)
+    if store.dataset is not dataset or store.feature_spec != feature_spec:
+        raise ConfigError("the feature store was built for another dataset or feature spec")
+    return store
 
 
 @dataclass
@@ -85,36 +157,46 @@ class BiasedModel:
     class_marginal: np.ndarray
     clip: float = WEIGHT_CLIP
 
-    def class_probs(self, dataset: Dataset) -> np.ndarray:
+    def class_probs(self, dataset: Dataset, features: np.ndarray | None = None) -> np.ndarray:
         """p(label | corrupted covariate) per example, clipped into
-        [clip, 1 - clip] so downstream ratios stay bounded."""
-        X = corrupted_features(dataset, self.corruption, self.feature_spec)
-        return np.clip(predict_proba(self.model, X), self.clip, 1.0 - self.clip)
+        [clip, 1 - clip] so downstream ratios stay bounded.  ``features``
+        are the dataset's corrupted features when the caller has them."""
+        if features is None:
+            features = corrupted_features(dataset, self.corruption, self.feature_spec)
+        return np.clip(predict_proba(self.model, features), self.clip, 1.0 - self.clip)
+
+
+def _fit_biased(store: FeatureStore, corruption: CorruptionSpec, X: np.ndarray,
+                cfg: TrainConfig, hidden: int) -> BiasedModel:
+    dataset = store.dataset
+    model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg.seed)
+    train(model, X, dataset.labels, cfg,
+          features_for_epoch=store.epoch_features(corruption, X), plan=store.plan)
+    counts = np.bincount(dataset.labels, minlength=dataset.n_classes)
+    return BiasedModel(model, corruption, store.feature_spec, counts / len(dataset))
 
 
 def build_biased_model(dataset: Dataset, corruption: CorruptionSpec,
                        feature_spec: FeatureSpec, cfg: TrainConfig,
-                       hidden: int = 0) -> BiasedModel:
+                       hidden: int = 0, store: FeatureStore | None = None) -> BiasedModel:
     """Fit the auxiliary predictor on corrupted covariates.
 
     Stochastic corruptions are redrawn every epoch so the fit targets the
     noise-averaged relationship rather than one frozen draw; deterministic
     corruptions are computed once.
     """
-    X = corrupted_features(dataset, corruption, feature_spec)
-    model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg.seed)
-    train(model, X, dataset.labels, cfg,
-          features_for_epoch=_epoch_feature_fn(dataset, corruption, feature_spec, X))
-    counts = np.bincount(dataset.labels, minlength=dataset.n_classes)
-    return BiasedModel(model, corruption, feature_spec, counts / len(dataset))
+    store = feature_store(store, dataset, feature_spec)
+    return _fit_biased(store, corruption, store.corrupted(corruption), cfg, hidden)
 
 
 WEIGHT_POSTERIOR_FLOOR = 0.05
 
 
-def nurd_weights(biased: BiasedModel, dataset: Dataset) -> np.ndarray:
+def nurd_weights(biased: BiasedModel, dataset: Dataset,
+                 features: np.ndarray | None = None) -> np.ndarray:
     """Importance weights marginal(y) / p_biased(y | corrupted x), one
-    fixed corruption draw per example.
+    fixed corruption draw per example (``features``, when the caller has
+    it).
 
     The denominator posterior is truncated into
     [WEIGHT_POSTERIOR_FLOOR, 1 - WEIGHT_POSTERIOR_FLOOR] before dividing:
@@ -125,7 +207,7 @@ def nurd_weights(biased: BiasedModel, dataset: Dataset) -> np.ndarray:
     posteriors milder than the floor untouched.  Softmax shift-invariance
     is unaffected, so weights remain invariant to rescaling the auxiliary
     model's unnormalized outputs."""
-    probs = biased.class_probs(dataset)
+    probs = biased.class_probs(dataset, features)
     probs = np.clip(probs, WEIGHT_POSTERIOR_FLOOR, 1.0 - WEIGHT_POSTERIOR_FLOOR)
     picked = probs[np.arange(len(dataset)), dataset.labels]
     return biased.class_marginal[dataset.labels] / picked
@@ -134,29 +216,34 @@ def nurd_weights(biased: BiasedModel, dataset: Dataset) -> np.ndarray:
 def run_nurd(dataset: Dataset, corruption: CorruptionSpec,
              feature_spec: FeatureSpec, cfg_main: TrainConfig,
              cfg_biased: TrainConfig, hidden: int = 0,
-             hidden_biased: int = 0):
+             hidden_biased: int = 0, store: FeatureStore | None = None):
     """Reweighted ERM: the weights push the training distribution toward
     the one where label and nuisance are independent.  Weights are rescaled
     to mean one before training, which leaves the optimum untouched but
-    keeps the effective learning rate comparable across corruptions."""
-    biased = build_biased_model(dataset, corruption, feature_spec, cfg_biased,
-                                hidden_biased)
-    weights = nurd_weights(biased, dataset)
-    X = featurize(feature_spec, dataset.covariates)
+    keeps the effective learning rate comparable across corruptions.  The
+    biased model's epoch-0 draw is the one the weights are computed on."""
+    store = feature_store(store, dataset, feature_spec)
+    Xb = store.corrupted(corruption)
+    biased = _fit_biased(store, corruption, Xb, cfg_biased, hidden_biased)
+    weights = nurd_weights(biased, dataset, Xb)
+    del Xb
+    X = store.clean()
     model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
     losses = train(model, X, dataset.labels, cfg_main,
-                   sample_weights=weights * (len(weights) / weights.sum()))
+                   sample_weights=weights * (len(weights) / weights.sum()),
+                   plan=store.plan)
     return model, {"weights": weights, "biased": biased, "losses": losses}
 
 
 def jtt_error_set(dataset: Dataset, corruption: CorruptionSpec,
                   feature_spec: FeatureSpec, cfg_id: TrainConfig,
-                  hidden: int = 0):
+                  hidden: int = 0, store: FeatureStore | None = None):
     """Indices the corrupted-input identification model gets wrong,
     ascending."""
-    X = corrupted_features(dataset, corruption, feature_spec)
+    store = feature_store(store, dataset, feature_spec)
+    X = store.corrupted(corruption)
     ident = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_id.seed)
-    train(ident, X, dataset.labels, cfg_id)
+    train(ident, X, dataset.labels, cfg_id, plan=store.plan)
     wrong = predict(ident, X) != dataset.labels
     return np.flatnonzero(wrong), ident
 
@@ -164,7 +251,7 @@ def jtt_error_set(dataset: Dataset, corruption: CorruptionSpec,
 def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
             feature_spec: FeatureSpec, cfg_main: TrainConfig,
             cfg_id: TrainConfig, lambda_up: int, hidden: int = 0,
-            hidden_id: int = 0):
+            hidden_id: int = 0, store: FeatureStore | None = None):
     """Upsample the identification model's error set lambda_up times.
 
     The augmented set is every original in order followed by lambda_up - 1
@@ -173,47 +260,50 @@ def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
     """
     if lambda_up < 1:
         raise ConfigError("lambda_up must be >= 1")
+    store = feature_store(store, dataset, feature_spec)
     errors, ident = jtt_error_set(dataset, corruption, feature_spec, cfg_id,
-                                  hidden_id)
-    X = featurize(feature_spec, dataset.covariates)
+                                  hidden_id, store)
+    X = store.clean()
     y = dataset.labels
     if lambda_up > 1 and len(errors):
         extra = np.repeat(errors, lambda_up - 1)
         X = np.concatenate([X, X[extra]])
         y = np.concatenate([y, y[extra]])
     model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    losses = train(model, X, y, cfg_main)
+    losses = train(model, X, y, cfg_main, plan=store.plan)
     return model, {"error_set": errors, "id_model": ident, "losses": losses}
 
 
 def run_poe(dataset: Dataset, corruption: CorruptionSpec,
             feature_spec: FeatureSpec, cfg_main: TrainConfig,
             cfg_biased: TrainConfig, hidden: int = 0, hidden_biased: int = 0,
-            freeze_biased: bool = False):
+            freeze_biased: bool = False, store: FeatureStore | None = None):
     """Product of experts: main and corrupted-input heads are combined by
     renormalizing the product of their softmax outputs, and the CE of the
     combination trains both (or only the main head when the biased one is
     pre-trained and frozen)."""
-    Xm = featurize(feature_spec, dataset.covariates)
-    Xb = corrupted_features(dataset, corruption, feature_spec)
+    store = feature_store(store, dataset, feature_spec)
+    Xm = store.clean()
+    Xb = store.corrupted(corruption)
     y = dataset.labels
     main = LinearModel(Xm.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
     biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden_biased,
                          seed=cfg_biased.seed)
-    epoch_features = _epoch_feature_fn(dataset, corruption, feature_spec, Xb)
+    epoch_features = store.epoch_features(corruption, Xb)
     if freeze_biased:
-        train(biased, Xb, y, cfg_biased, features_for_epoch=epoch_features)
+        train(biased, Xb, y, cfg_biased, features_for_epoch=epoch_features,
+              plan=store.plan)
 
     def step(Xb_e, idx):
         loss, g_main, g_biased = poe_loss_grad(
             main, biased, Xm[idx], Xb_e[idx], y[idx],
             weight_decay=cfg_main.weight_decay, update_biased=not freeze_biased)
-        main.set_flat(main.get_flat() - cfg_main.lr * g_main)
+        main.descend(cfg_main.lr, g_main)
         if g_biased is not None:
-            biased.set_flat(biased.get_flat() - cfg_biased.lr * g_biased)
+            biased.descend(cfg_biased.lr, g_biased)
         return loss
 
-    losses = sgd(cfg_main, Xb, step, epoch_features)
+    losses = sgd(cfg_main, Xb, step, epoch_features, store.plan)
     check_finite(main, biased)
     return main, {"biased_model": biased, "losses": losses}
 
@@ -221,7 +311,7 @@ def run_poe(dataset: Dataset, corruption: CorruptionSpec,
 def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
             feature_spec: FeatureSpec, cfg_main: TrainConfig,
             cfg_biased: TrainConfig, gamma: float, hidden: int = 0,
-            hidden_biased: int = 0):
+            hidden_biased: int = 0, store: FeatureStore | None = None):
     """Focus training: each batch first updates the corrupted-input model by
     plain CE, then weights the main CE by (1 - p_biased[label]) ** gamma
     with the biased output held constant.  gamma 0 reproduces ERM bit for
@@ -229,27 +319,28 @@ def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
     the main model's state."""
     if not 0.0 <= gamma < math.inf:
         raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
-    Xm = featurize(feature_spec, dataset.covariates)
-    Xb = corrupted_features(dataset, corruption, feature_spec)
+    store = feature_store(store, dataset, feature_spec)
+    Xm = store.clean()
+    Xb = store.corrupted(corruption)
     y = dataset.labels
     main = LinearModel(Xm.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
     biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden_biased,
                          seed=cfg_biased.seed)
-    epoch_features = _epoch_feature_fn(dataset, corruption, feature_spec, Xb)
+    epoch_features = store.epoch_features(corruption, Xb)
 
     def step(Xb_e, idx):
         b_loss, b_grad = ce_loss_grad(biased, Xb_e[idx], y[idx], None,
                                       cfg_biased.weight_decay)
         if not math.isfinite(b_loss):
             raise TrainingError("non-finite biased loss")
-        biased.set_flat(biased.get_flat() - cfg_biased.lr * b_grad)
+        biased.descend(cfg_biased.lr, b_grad)
         probs = predict_proba(biased, Xb_e[idx])
         loss, grad = dfl_loss_grad(main, probs, Xm[idx], y[idx], gamma,
                                    cfg_main.weight_decay)
-        main.set_flat(main.get_flat() - cfg_main.lr * grad)
+        main.descend(cfg_main.lr, grad)
         return loss
 
-    losses = sgd(cfg_main, Xb, step, epoch_features)
+    losses = sgd(cfg_main, Xb, step, epoch_features, store.plan)
     check_finite(main, biased)
     return main, {"biased_model": biased, "losses": losses}
 

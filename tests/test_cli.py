@@ -16,9 +16,21 @@ import pytest
 from semcorrupt import cli, harness
 from semcorrupt.cli import main
 from semcorrupt.errors import TrainingError
-from semcorrupt.families import Dataset
-from semcorrupt.harness import desk_nli_experiment, load_dataset, load_model, save_dataset, save_model
-from semcorrupt.learner import LinearModel
+from semcorrupt.families import (
+    Dataset,
+    negated_coordinate_family,
+    sample_family,
+    xor_sign_family,
+)
+from semcorrupt.harness import (
+    desk_nli_experiment,
+    evaluate,
+    load_dataset,
+    load_model,
+    save_dataset,
+    save_model,
+)
+from semcorrupt.learner import FeatureSpec, LinearModel
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +114,48 @@ class TestPipeline:
         assert code == 0
         assert "nurd+pr8 trained" in capsys.readouterr().out
         assert load_model(model_path).n_features == 32 * 32
+
+
+class TestEvalFeatures:
+    """``eval`` featurizes with the spec the model file records."""
+
+    def test_eval_uses_the_training_featurization(self, tmp_path, capsys):
+        data, model_path = str(tmp_path / "nli"), str(tmp_path / "m.bin")
+        assert main(["gen", "--task", "nli", "--rho", "0.9", "--n", "60", "--seed", "2",
+                     "--out", data]) == 0
+        assert main(["train", "--in", data, "--out", model_path, "--seed", "0",
+                     "--epochs", "2", "--ngram", "3", "--buckets", "32"]) == 0
+        model = load_model(model_path)
+        spec = FeatureSpec("bag_of_ngrams", ngram=3, buckets=32)
+        assert model.feature_spec == spec
+        capsys.readouterr()
+        assert main(["eval", "--model", model_path, "--in", data, "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)["accuracy"]
+        assert got == evaluate(model, load_dataset(data), spec).accuracy
+
+    def test_eval_has_no_feature_flags(self, image_dir, tmp_path):
+        model_path = str(tmp_path / "m.bin")
+        assert main(["train", "--in", image_dir, "--out", model_path, "--seed", "0",
+                     "--epochs", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", model_path, "--in", image_dir, "--buckets", "32"])
+        assert exc.value.code == 2
+
+    def test_model_without_feature_spec_is_usage_error(self, image_dir, tmp_path, capsys):
+        path = str(tmp_path / "bare.bin")
+        save_model(LinearModel(32 * 32, 2), path)
+        assert main(["eval", "--model", path, "--in", image_dir]) == 2
+        assert "records no feature spec" in capsys.readouterr().err
+
+    def test_feature_width_mismatch_is_usage_error(self, tmp_path, capsys):
+        narrow, wide = str(tmp_path / "narrow"), str(tmp_path / "wide")
+        save_dataset(sample_family(xor_sign_family(1.0, 8), 0.7, 20, seed=1), narrow)
+        save_dataset(sample_family(negated_coordinate_family(0.5, 6), 0.7, 20, seed=1), wide)
+        model_path = str(tmp_path / "m.bin")
+        assert main(["train", "--in", narrow, "--out", model_path, "--seed", "0",
+                     "--epochs", "1"]) == 0
+        assert main(["eval", "--model", model_path, "--in", wide]) == 2
+        assert "the dataset has 3 features, the model takes 2" in capsys.readouterr().err
 
 
 class TestVerifyTheory:

@@ -4,11 +4,12 @@ corruption selection, theory-check reports, and serialization."""
 import dataclasses
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semcorrupt.corruptions import CorruptionSpec, Grid
+from semcorrupt.corruptions import CorruptionSpec, Grid, grid_rows
 from semcorrupt.errors import ConfigError, DispatchError
 from semcorrupt.exact import enumerate_binary_predictors
 from semcorrupt.families import (
@@ -19,6 +20,7 @@ from semcorrupt.families import (
     synthetic_nli_task,
     xor_sign_family,
 )
+from semcorrupt import harness
 from semcorrupt.harness import (
     DESK_SEEDS,
     REFERENCE_PREDICTOR_TABLE,
@@ -26,6 +28,8 @@ from semcorrupt.harness import (
     STABLE_PREDICTOR_INDEX,
     CheckResult,
     ExperimentConfig,
+    ExperimentResult,
+    MethodOutcome,
     MethodSpec,
     MetricsRecord,
     check_exact_corruptions,
@@ -50,7 +54,9 @@ from semcorrupt.harness import (
     select_corruption_for,
     verify_theory,
 )
-from semcorrupt.learner import FeatureSpec, LinearModel, TrainConfig, featurize
+from semcorrupt.learner import FeatureSpec, LinearModel, TrainConfig, featurize, minibatch_plan
+from semcorrupt.rng import derive_seed
+from semcorrupt.scams import FeatureStore, corrupted_features, run_nurd
 
 RAW = FeatureSpec("raw_vector")
 PR8 = CorruptionSpec("patch_randomize", 8, 7)
@@ -272,6 +278,177 @@ class TestRunExperiment:
 
 
 # ---------------------------------------------------------------------------
+# shared work: a sweep equals a loop that shares nothing
+
+
+def unshared_sweep(config, methods) -> ExperimentResult:
+    """``run_experiment`` as a plain loop: every method regenerates every
+    split, trains with no feature store and evaluates each split itself."""
+    outcomes = {m.label: MethodOutcome() for m in methods}
+    for seed in config.seeds:
+        for m in methods:
+            train_ds = generate_task(config.task, config.rho_train, config.n_train,
+                                     derive_seed(seed, 1))
+            evals = {
+                "test_iid": generate_task(config.task, config.rho_train, config.n_eval,
+                                          derive_seed(seed, 2)),
+                "test_flipped": generate_task(config.task, config.rho_train, config.n_eval,
+                                              derive_seed(seed, 3), flip=True),
+                "test_balanced": generate_task(config.task, 0.5, config.n_eval,
+                                               derive_seed(seed, 4)),
+            }
+            cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
+            cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
+            try:
+                model, _ = harness.run_method(m, train_ds, config.feature, cfg_main,
+                                              cfg_aux, config.hidden)
+                rec = {split: evaluate(model, ds, config.feature)
+                       for split, ds in evals.items()}
+                outcomes[m.label].per_seed.append((seed, rec))
+            except Exception as exc:
+                outcomes[m.label].errors.append((seed, f"{type(exc).__name__}: {exc}"))
+    return ExperimentResult(config, tuple(methods), outcomes)
+
+
+SHARED_SWEEPS = {
+    # every method; stochastic (pr4, nr1) and deterministic (rm16, ff30, pm)
+    # kinds; one method whose corruption does not fit the task fails
+    "image": (0, (
+        MethodSpec("erm"),
+        MethodSpec("nurd", CorruptionSpec("patch_randomize", 4, 7)),
+        MethodSpec("nurd", CorruptionSpec("roi_mask", 16)),
+        MethodSpec("jtt", CorruptionSpec("patch_randomize", 4, 7), lambda_up=3),
+        MethodSpec("jtt", CorruptionSpec("identity"), lambda_up=3),
+        MethodSpec("poe", CorruptionSpec("patch_randomize", 4, 7)),
+        MethodSpec("dfl", CorruptionSpec("freq_filter", 30)),
+        MethodSpec("poe", NR1),
+    )),
+    "nli": (3, (
+        MethodSpec("erm"),
+        MethodSpec("nurd", NR1),
+        MethodSpec("jtt", NR1, lambda_up=3),
+        MethodSpec("poe", NR1),
+        MethodSpec("dfl", NR1),
+        MethodSpec("dfl", CorruptionSpec("premise_mask")),
+        MethodSpec("nurd", PR8),
+    )),
+}
+
+
+def shared_config(task: str, hidden: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        task=task, rho_train=0.9, n_train=72, n_eval=40, seeds=(0, 1),
+        feature=default_feature_spec(task),
+        cfg_main=TrainConfig(epochs=2, batch_size=16, lr=0.05, weight_decay=1e-3),
+        cfg_aux=TrainConfig(epochs=3, batch_size=16, lr=0.1, weight_decay=1e-3),
+        hidden=hidden,
+    )
+
+
+@pytest.fixture
+def fitted(monkeypatch):
+    """The parameter bytes of every model ``harness.run_method`` returns,
+    in call order (accuracies on small splits are too coarse to tell two
+    fits apart)."""
+    fits = []
+    real = harness.run_method
+
+    def record(method, *args, **kwargs):
+        model, info = real(method, *args, **kwargs)
+        fits.append((method.label, model.get_flat().tobytes()))
+        return model, info
+
+    monkeypatch.setattr(harness, "run_method", record)
+    return fits
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize("task", sorted(SHARED_SWEEPS))
+    def test_sweep_equals_unshared_loop(self, task, fitted):
+        hidden, methods = SHARED_SWEEPS[task]
+        config = shared_config(task, hidden)
+        got = run_experiment(config, methods)
+        shared_fits = fitted[:]
+        fitted.clear()
+        want = unshared_sweep(config, methods)
+        assert shared_fits == fitted
+        assert len(fitted) == 2 * (len(methods) - 1)
+        assert got.to_csv() == want.to_csv()
+        assert got.per_seed_csv() == want.per_seed_csv()
+        assert got.outcomes == want.outcomes
+        failed = methods[-1].label
+        assert [seed for seed, _ in got.outcomes[failed].errors] == [0, 1]
+        assert all(not o.errors for label, o in got.outcomes.items() if label != failed)
+
+    def test_selection_scores_equal_unshared_runs(self, fitted):
+        config = shared_config("nli", 0)
+        method = MethodSpec("nurd", NR1)
+        candidates = [NR1, CorruptionSpec("ngram_randomize", 2, 7)]
+        _, _, scored = select_corruption_for(config, method, candidates, seed=4)
+        shared_fits = fitted[:]
+        fitted.clear()
+        train_ds = generate_task("nli", config.rho_train, config.n_train,
+                                 derive_seed(4, harness._SELECT_TRAIN_TAG))
+        val = generate_task("nli", 0.5, config.n_eval, derive_seed(4, harness._SELECT_VAL_TAG))
+        want = []
+        for spec in [CorruptionSpec("identity"), *candidates]:
+            model, _ = harness.run_method(
+                replace(method, corruption=spec), train_ds, config.feature,
+                replace(config.cfg_main, seed=derive_seed(4, 10)),
+                replace(config.cfg_aux, seed=derive_seed(4, 11)))
+            want.append((spec, evaluate(model, val, config.feature).accuracy))
+        assert scored == want
+        assert shared_fits == fitted
+
+    @pytest.mark.parametrize("task, spec", [
+        ("image", CorruptionSpec("patch_randomize", 8, 7)),
+        ("image", CorruptionSpec("roi_mask", 16)),
+        ("image", CorruptionSpec("identity")),
+        ("nli", NR1),
+        ("nli", CorruptionSpec("ngram_randomize", 2, 5)),
+        ("nli", CorruptionSpec("premise_mask")),
+    ])
+    def test_store_hands_out_read_only_pure_work(self, task, spec):
+        """Every request, first or repeated, equals the direct computation:
+        featurize, corrupted_features (each epoch's redraw seed its own
+        draw) and minibatch_plan (each argument its own plan)."""
+        ds = generate_task(task, 0.9, 40, 2)
+        fs = default_feature_spec(task)
+        store = FeatureStore(ds, fs)
+        first = store.corrupted(spec)
+        redraw = store.epoch_features(spec, first)
+        for _ in range(2):
+            handed = [store.clean(), store.corrupted(spec)]
+            assert np.array_equal(handed[0], featurize(fs, ds.covariates))
+            assert np.array_equal(handed[1], corrupted_features(ds, spec, fs))
+            for epoch in range(3 if redraw else 0):
+                epoch_spec = replace(spec, seed=derive_seed(spec.seed, 103, epoch))
+                want = spec if epoch == 0 else epoch_spec
+                handed.append(redraw(epoch))
+                assert np.array_equal(handed[-1], corrupted_features(ds, want, fs))
+            for args in ((40, 16, 9, 0), (40, 16, 9, 1), (40, 8, 9, 1), (52, 16, 3, 1)):
+                plan = store.plan(*args)
+                assert [b.tolist() for b in plan] == [b.tolist() for b in minibatch_plan(*args)]
+                handed.extend(plan)
+            for arr in handed:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
+
+    def test_store_of_another_dataset_rejected(self):
+        ds = generate_task("nli", 0.9, 20, 2)
+        store = FeatureStore(generate_task("nli", 0.9, 20, 3), default_feature_spec("nli"))
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=0.1)
+        with pytest.raises(ConfigError, match="feature store"):
+            run_nurd(ds, NR1, default_feature_spec("nli"), cfg, cfg, store=store)
+        with pytest.raises(ConfigError, match="feature store"):
+            run_method(MethodSpec("erm"), ds, default_feature_spec("nli"), cfg, cfg,
+                       store=store)
+        with pytest.raises(ConfigError, match="feature store"):
+            run_method(MethodSpec("erm"), store.dataset,
+                       FeatureSpec("bag_of_ngrams", buckets=32), cfg, cfg, store=store)
+
+
+# ---------------------------------------------------------------------------
 # corruption selection
 
 
@@ -473,6 +650,38 @@ class TestModelIO:
             load_model(str(path))
 
 
+    def test_feature_spec_roundtrip(self, tmp_path):
+        model = LinearModel(64, 2)
+        model.feature_spec = FeatureSpec("bag_of_ngrams", ngram=3, buckets=32,
+                                         pair_mode="hypothesis_only")
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.feature_spec == model.feature_spec
+        save_model(loaded, str(tmp_path / "again.bin"))
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        save_model(LinearModel(64, 2), str(path))
+        assert load_model(str(path)).feature_spec is None
+
+    @pytest.mark.parametrize("features", [
+        '"flatten_grid"', "{}",
+        '{"kind": "flatten_grid", "ngram": 2, "buckets": 64}',
+        '{"kind": "pixels", "ngram": 2, "buckets": 64, "pair_mode": "concat"}',
+        '{"kind": "bag_of_ngrams", "ngram": true, "buckets": 64, "pair_mode": "concat"}',
+        '{"kind": "bag_of_ngrams", "ngram": 2, "buckets": 0, "pair_mode": "concat"}',
+        '{"kind": "flatten_grid", "ngram": 2, "buckets": 64, "pair_mode": "concat", '
+        '"extra": 1}',
+    ])
+    def test_bad_feature_spec_rejected(self, tmp_path, features):
+        path = tmp_path / "model.bin"
+        save_model(LinearModel(5, 3), str(path))
+        magic, _, params = path.read_bytes().split(b"\n", 2)
+        header = '{"n_features": 5, "n_classes": 3, "hidden": 0, "features": %s}' % features
+        path.write_bytes(b"\n".join([magic, header.encode(), params]))
+        with pytest.raises(ConfigError, match="features|ngram|buckets|kind"):
+            load_model(str(path))
+
+
 def assert_datasets_equal(got: Dataset, want: Dataset):
     assert len(got) == len(want)
     assert got.n_classes == want.n_classes
@@ -511,6 +720,21 @@ class TestDatasetIO:
         assert_datasets_equal(loaded, ds)
         for got, want in zip(loaded.covariates, ds.covariates):
             assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_grid_payload_bytes_pinned(self, tmp_path, dtype):
+        """data.bin is the stacked values in the dtype meta.json names:
+        single precision exactly when that loses nothing."""
+        ds = synthetic_image_task(0.9, 12, 5)
+        if dtype == "<f8":   # one value off the single-precision grid
+            values = np.stack([c.values for c in ds.covariates])
+            values[3, 1, 2, 0] = 0.1
+            ds = Dataset(grid_rows(values), ds.labels, 2, ds.nuisances, ds.groups)
+        save_dataset(ds, str(tmp_path))
+        with open(tmp_path / "meta.json") as fh:
+            assert json.load(fh)["dtype"] == dtype
+        want = np.stack([c.values for c in ds.covariates]).astype(dtype).tobytes()
+        assert (tmp_path / "data.bin").read_bytes() == want
 
     def test_pair_roundtrip(self, tmp_path):
         ds = synthetic_nli_task(0.9, 10, 3)

@@ -438,3 +438,38 @@ class TestNoHarm:
             for name, model in outs.items():
                 acc = float(np.mean(predict(model, Xte) == te.labels))
                 assert abs(acc - base) <= 0.02, (seed, name, acc, base)
+
+
+# ---------------------------------------------------------------------------
+# the in-place parameter step
+
+
+def _flat_step(model, lr, grad):
+    """The step as it was first written: a flat copy, then new arrays."""
+    model.set_flat(model.get_flat() - lr * grad)
+
+
+@pytest.mark.parametrize("hidden", [0, 3])
+@pytest.mark.parametrize("trainer", ["train", "poe", "dfl"])
+def test_in_place_step_keeps_the_flat_step_bits(monkeypatch, trainer, hidden):
+    ds = balanced_vector_dataset(n=48, seed=2)
+    noise = CorruptionSpec("coordinate_mask", 0)
+    cfg = TrainConfig(epochs=3, batch_size=8, lr=0.3, weight_decay=1e-3, seed=4)
+    aux = TrainConfig(epochs=3, batch_size=8, lr=0.2, seed=5)
+
+    def fit():
+        if trainer == "train":
+            model = LinearModel(3, 2, hidden, seed=1)
+            train(model, featurize(RAW, ds.covariates), ds.labels, cfg)
+            return [model]
+        if trainer == "poe":
+            model, info = run_poe(ds, noise, RAW, cfg, aux, hidden, hidden)
+        else:
+            model, info = run_dfl(ds, noise, RAW, cfg, aux, 2.0, hidden, hidden)
+        return [model, info["biased_model"]]
+
+    in_place = fit()
+    monkeypatch.setattr(LinearModel, "descend", _flat_step)
+    flat = fit()
+    for a, b in zip(in_place, flat):
+        assert a.get_flat().tobytes() == b.get_flat().tobytes()
