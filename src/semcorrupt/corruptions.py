@@ -15,7 +15,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import DispatchError, SizingError
-from .rng import Stream, as_words, below_words, derive_seed, derive_seeds, stream_words
+from .rng import (Stream, as_words, below_words, box_muller, derive_seed, derive_seeds,
+                  stream_words, uniform_words)
 
 
 class Grid:
@@ -136,7 +137,12 @@ def patch_rows(values: np.ndarray, patch: int, seeds: np.ndarray) -> np.ndarray:
     """Batch form of :func:`patch_randomize`: row ``r`` shuffles its patches
     with ``Stream(seeds[r]).shuffle``.  The draws of all rows are one array
     and each Fisher-Yates step swaps across all rows at once; a row with a
-    word that ``below`` rejects is shuffled again by the scalar stream."""
+    word that ``below`` rejects is shuffled again by the scalar stream.
+
+    The values move as one gather of patch-row runs (``patch * c``
+    contiguous values each): output run ``(r, i, y, j)`` reads source run
+    ``((r * ph + p_i) * patch + y) * pw + p_j``, where
+    ``(p_i, p_j) = divmod(perm[r, i * pw + j], pw)``."""
     if patch < 1:
         raise SizingError("patch must be >= 1")
     rows, h, w, c = values.shape
@@ -151,17 +157,11 @@ def patch_rows(values: np.ndarray, patch: int, seeds: np.ndarray) -> np.ndarray:
         order = list(range(count))
         Stream(int(seeds[r])).shuffle(order)
         perm[r] = order
-    blocks = (
-        values.reshape(rows, ph, patch, pw, patch, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(rows, count, patch, patch, c)
-    )
-    return (
-        blocks[np.arange(rows)[:, np.newaxis], perm]
-        .reshape(rows, ph, pw, patch, patch, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(rows, h, w, c)
-    )
+    p_i, p_j = np.divmod(perm.reshape(rows, ph, 1, pw), pw)
+    row_base = np.arange(rows).reshape(rows, 1, 1, 1) * ph
+    src = ((row_base + p_i) * patch + np.arange(patch).reshape(patch, 1)) * pw + p_j
+    runs = np.ascontiguousarray(values).reshape(rows * h * pw, patch * c)
+    return np.take(runs, src.reshape(-1), axis=0).reshape(rows, h, w, c)
 
 
 def patch_randomize(grid: Grid, patch: int, seed: int) -> Grid:
@@ -280,16 +280,25 @@ def rand_crop(grid: Grid, min_frac: float, seed: int) -> Grid:
     return Grid(out, unit_range=False)
 
 
-def gauss_noise(grid: Grid, variance: float, seed: int) -> Grid:
-    """Add seeded Gaussian noise (row-major draw order), clamp to [0, 1]."""
+def gauss_noise_rows(values: np.ndarray, variance: float, seeds: np.ndarray) -> np.ndarray:
+    """Batch form of :func:`gauss_noise`: row ``r`` adds
+    ``Stream(seeds[r]).normals(h * w * c)``, the stream words of all rows
+    drawn as one array and put through one Box-Muller map."""
     if variance < 0.0:
         raise SizingError("variance must be non-negative")
     if variance == 0.0:
-        return grid
-    h, w, c = grid.values.shape
-    noise = Stream(seed).normals(h * w * c).reshape(h, w, c)
-    out = np.clip(grid.values + np.sqrt(variance) * noise, 0.0, 1.0)
-    return Grid(out, unit_range=False)
+        return values.copy()
+    _, h, w, c = values.shape
+    size = h * w * c
+    u = uniform_words(stream_words(seeds, 2 * ((size + 1) // 2)))
+    noise = box_muller(u)[:, :size].reshape(values.shape)
+    return np.clip(values + np.sqrt(variance) * noise, 0.0, 1.0)
+
+
+def gauss_noise(grid: Grid, variance: float, seed: int) -> Grid:
+    """Add seeded Gaussian noise (row-major draw order), clamp to [0, 1].
+    This is the one-row call of :func:`gauss_noise_rows`."""
+    return _one_row(gauss_noise_rows, grid, variance, as_words(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +478,8 @@ KINDS = {
     "rand_crop": Kind("crop", lambda p: 0.0 < float(p) <= 1.0, (Grid,), True,
                       lambda c, p, s: rand_crop(c, float(p), s)),
     "gauss_noise": Kind("noise", lambda p: float(p) >= 0.0, (Grid,), True,
-                        lambda c, p, s: gauss_noise(c, float(p), s)),
+                        lambda c, p, s: gauss_noise(c, float(p), s),
+                        lambda v, p, s: gauss_noise_rows(v, float(p), s)),
     "ngram_randomize": Kind("nr", _whole(1), (SentencePair, TokenSeq), True,
                             lambda c, p, s: _shuffle_sentences(c, int(p), s)),
     "premise_mask": Kind("pm", None, (SentencePair,), False,
@@ -522,10 +532,12 @@ def apply(spec: CorruptionSpec, covariate, example_index: int):
 
 
 # Rows per batch-kernel call, and per array call of image generation.  On
-# 1500 32x32 grids (best of 7 x 5 calls, 2 vCPU, Python 3.11, numpy 2.4),
-# patch_randomize 8 / freq_filter 30 features took 15 / 58-69 ms in chunks
-# of 64 rows, 13 / 88-95 ms in chunks of 256 and 27 / 124 ms unchunked; the
-# desk image sweep peaked at 122, 131 and 198 MiB.
+# 1500 32x32 grids (best of 7 x 5 calls, three runs, 2 vCPU, Python 3.11,
+# numpy 2.4), patch_randomize 8 / freq_filter 30 features took 13-19 /
+# 66-84 ms in chunks of 64 rows, 10-15 / 76-110 ms in chunks of 256 and
+# 17-26 / 121-159 ms unchunked; the desk image sweep peaked at 92, 94 and
+# 150 MiB.  The feature store's patch draws skip this path: one patch_rows
+# call over its clean matrix took 4-7 ms.
 GRID_CHUNK = 64
 
 

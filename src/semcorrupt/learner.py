@@ -382,6 +382,7 @@ def sgd(cfg: TrainConfig, X: np.ndarray, step, features_for_epoch=None,
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             total += loss * len(idx)
         losses.append(total / len(X))
+        del Xe   # the next epoch's draw is made without this one alive
     return losses
 
 

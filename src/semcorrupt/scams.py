@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import KINDS, CorruptionSpec, apply_all, batches_grids, grid_chunks
+from .corruptions import (KINDS, CorruptionSpec, Grid, apply_all, batches_grids, grid_chunks,
+                          patch_rows)
 from .errors import ConfigError, TrainingError
 from .families import Dataset
-from .rng import derive_seed
+from .rng import derive_seed, derive_seeds
 from .learner import (
     FeatureSpec,
     LinearModel,
@@ -76,7 +77,9 @@ class FeatureStore:
       bag-of-n-gram features are kept as per-window bucket ids in the
       smallest unsigned dtype over one :class:`NgramLayout` of the dataset
       and counted into a fresh matrix on each request; other draws are float
-      matrices too large to keep, so they are computed on each request;
+      matrices too large to keep, so they are computed on each request, a
+      patch shuffle of grids of one shape as one :func:`patch_rows` gather
+      from the clean features;
     * :meth:`plan`, each :func:`minibatch_plan`, its batches as views of
       one index array in the smallest unsigned dtype.
 
@@ -101,6 +104,14 @@ class FeatureStore:
         clean features for ``identity``, which changes nothing)."""
         if spec.kind == "identity":
             return self.clean()
+        if spec.kind == "patch_randomize" and self.feature_spec.kind == "flatten_grid":
+            covs = self.dataset.covariates
+            shapes = {c.values.shape if isinstance(c, Grid) else None for c in covs}
+            if len(shapes) == 1 and None not in shapes:
+                n = len(covs)
+                drawn = patch_rows(self.clean().reshape(n, *shapes.pop()), int(spec.param),
+                                   derive_seeds(spec.seed, np.arange(n)))
+                return _read_only(drawn.reshape(n, -1))
         if spec.kind != "ngram_randomize" or self.feature_spec.kind != "bag_of_ngrams":
             return _read_only(corrupted_features(self.dataset, spec, self.feature_spec))
         if self._layout is None:

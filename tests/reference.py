@@ -107,6 +107,16 @@ class RefStream:
         return out[:count]
 
 
+def ref_gauss_noise(values: list, variance: float, seed: int) -> list:
+    """gauss_noise on a grid's values in row-major order: add sqrt(variance)
+    times the seed's normals, clamp to [0, 1]."""
+    if variance == 0.0:
+        return list(values)
+    sd = math.sqrt(variance)
+    noise = RefStream(seed).normals(len(values))
+    return [min(max(v + sd * z, 0.0), 1.0) for v, z in zip(values, noise)]
+
+
 def ref_permutation(n: int, seed: int) -> list:
     order = list(range(n))
     RefStream(seed).shuffle(order)

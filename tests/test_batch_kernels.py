@@ -21,6 +21,8 @@ from semcorrupt.corruptions import (
     apply_all,
     freq_filter,
     freq_filter_rows,
+    gauss_noise,
+    gauss_noise_rows,
     grid_rows,
     intensity_filter,
     intensity_filter_rows,
@@ -32,10 +34,11 @@ from semcorrupt.corruptions import (
     roi_mask_rows,
 )
 from semcorrupt.errors import DispatchError
+from semcorrupt import scams
 from semcorrupt.families import Dataset
 from semcorrupt.learner import FeatureSpec, featurize
-from semcorrupt.rng import Stream, derive_seeds
-from semcorrupt.scams import corrupted_features
+from semcorrupt.rng import Stream, derive_seed, derive_seeds
+from semcorrupt.scams import FeatureStore, corrupted_features
 
 from reference import (
     MASK64,
@@ -44,6 +47,7 @@ from reference import (
     ref_derive_preimage,
     ref_derive_seed,
     ref_freq_filter,
+    ref_gauss_noise,
     ref_ngram_bucket,
     ref_permutation,
     ref_seed_with_word,
@@ -300,6 +304,29 @@ def test_patch_rows_match_one_row_calls_and_oracle(values, seeds_):
             assert np.array_equal(one, ref_patch_shuffle(values[r], patch, int(seeds_[r])))
 
 
+def test_patch_rows_gathers_from_non_contiguous_views():
+    values = np.random.default_rng(6).random((4, 6, 12, 3))
+    stream_seeds = derive_seeds(2, np.arange(4))
+    for view in (values[:, :, ::2], values.transpose(0, 2, 1, 3), values[::-1, 1:5]):
+        assert not view.flags.c_contiguous
+        got = patch_rows(view, 2, stream_seeds[:len(view)])
+        want = [ref_patch_shuffle(v, 2, int(s)) for v, s in zip(view, stream_seeds)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+@given(grid_batches, row_seeds, st.sampled_from([0.0, 1e-4, 0.01, 0.5, 25.0]))
+@KERNEL
+def test_gauss_noise_rows_match_one_row_calls_and_oracle(values, seeds_, variance):
+    rows = len(values)
+    batch = gauss_noise_rows(values, variance, seeds_[:rows])
+    assert batch.shape == values.shape and batch.dtype == np.float64
+    for r in range(rows):
+        one = gauss_noise(Grid(values[r]), variance, int(seeds_[r])).values
+        assert batch[r].tobytes() == one.tobytes()
+        want = ref_gauss_noise(values[r].ravel().tolist(), variance, int(seeds_[r]))
+        assert np.allclose(one.ravel(), want, rtol=0, atol=1e-12)
+
+
 @given(grid_batches, st.floats(0.0, 1.0))
 @KERNEL
 def test_deterministic_grid_kernels_match_one_row_calls(values, threshold):
@@ -328,8 +355,8 @@ def test_freq_filter_rows_match_dft_oracle(values, cutoff):
 
 @pytest.mark.parametrize("index", [0, 3])
 def test_patch_shuffle_redraws_rejected_row(index):
-    """2x2 patches draw below(4), below(3), below(2); the second word of
-    example ``index``'s stream is 2**64 - 1, which below(3) rejects."""
+    """2x2 patches of a 4x6 grid draw below(6) .. below(2); the second word
+    of example ``index``'s stream is 2**64 - 1, which below(5) rejects."""
     target = ref_seed_with_word(REJECTED_FOR_3, 2)
     spec_seed = ref_derive_preimage(target, index)
     assert ref_derive_seed(spec_seed, index) == target
@@ -392,3 +419,68 @@ def test_grid_rows_check_like_grid():
     assert grid_rows(np.full((2, 3, 3, 1), 1.5), unit_range=False)[1].values.max() == 1.5
     with pytest.raises(ValueError):
         grid_rows(np.full((1, 2, 2, 1), np.nan), unit_range=False)
+
+
+# ---------------------------------------------------------------------------
+# the feature store's patch shuffles: one gather from the clean features
+
+STORE_SHAPES = [(4, 6, 2), (6, 4, 3), (8, 8, 1)]
+
+
+def ref_patch_features(grids: list, patch: int, spec_seed: int) -> np.ndarray:
+    return np.array([ref_patch_shuffle(g.values, patch, ref_derive_seed(spec_seed, i)).ravel()
+                     for i, g in enumerate(grids)])
+
+
+@pytest.mark.parametrize("shape", STORE_SHAPES)
+def test_store_patch_draws_redraw_rejected_row_past_a_chunk(shape):
+    """Example GRID_CHUNK's second word is 2**64 - 1 at epoch 0 under one
+    spec seed and at epoch 1 under another; the store draws all rows in one
+    call and must still send that row to the scalar stream."""
+    ds = grid_dataset(GRID_CHUNK + 3, shape, key=4)
+    fs = FeatureSpec("flatten_grid")
+    target = ref_seed_with_word(REJECTED_FOR_3, 2)
+    at_epoch_0 = ref_derive_preimage(target, GRID_CHUNK)
+    at_epoch_1 = ref_derive_preimage(at_epoch_0, 103, 1)
+    for spec_seed, epoch in ((at_epoch_0, 0), (at_epoch_1, 1)):
+        spec = CorruptionSpec("patch_randomize", 2, spec_seed)
+        epoch_seed = spec_seed if epoch == 0 else derive_seed(spec_seed, 103, epoch)
+        assert ref_derive_seed(epoch_seed, GRID_CHUNK) == target
+        want = ref_patch_features(ds.covariates, 2, epoch_seed)
+        store = FeatureStore(ds, fs)
+        first = store.corrupted(spec)
+        got = store.epoch_features(spec, first)(epoch)
+        assert got.tobytes() == want.tobytes()
+        epoch_spec = CorruptionSpec("patch_randomize", 2, epoch_seed)
+        assert got.tobytes() == corrupted_features(ds, epoch_spec, fs).tobytes()
+
+
+@pytest.mark.parametrize("shape", STORE_SHAPES)
+def test_store_patch_draws_are_read_only_and_leave_clean_untouched(shape, monkeypatch):
+    """The draws gather from the clean features, never through the chunked
+    per-covariate path."""
+    ds = grid_dataset(GRID_CHUNK + 3, shape, key=7)
+    fs = FeatureSpec("flatten_grid")
+    store = FeatureStore(ds, fs)
+    monkeypatch.setattr(scams, "corrupted_features", None)
+    clean = store.clean().copy()
+    for patch in divisors(*shape[:2]):
+        spec = CorruptionSpec("patch_randomize", patch, 5)
+        got = store.corrupted(spec)
+        assert got.tobytes() == ref_patch_features(ds.covariates, patch, 5).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+    assert store.clean().tobytes() == clean.tobytes()
+
+
+def test_store_patch_draws_of_two_shapes_fall_back():
+    rng = np.random.default_rng(9)
+    grids = [Grid(rng.random((4, 6, 2) if i % 3 else (6, 4, 2))) for i in range(GRID_CHUNK + 3)]
+    ds, fs = dataset(grids), FeatureSpec("flatten_grid")
+    spec = CorruptionSpec("patch_randomize", 2, 8)
+    got = FeatureStore(ds, fs).corrupted(spec)
+    assert got.tobytes() == corrupted_features(ds, spec, fs).tobytes()
+    assert got.tobytes() == ref_patch_features(grids, 2, 8).tobytes()
+    mixed = dataset([Grid(np.zeros((2, 2))), (1.0, 2.0, 3.0, 4.0)])
+    with pytest.raises(DispatchError):
+        FeatureStore(mixed, fs).corrupted(spec)

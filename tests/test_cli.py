@@ -359,15 +359,17 @@ def test_module_invocation(tmp_path):
 
 
 def test_report_is_byte_identical_across_processes(tmp_path):
-    outputs = []
-    for run in ("a", "b"):
-        summary, per_seed = tmp_path / f"{run}.csv", tmp_path / f"{run}-seeds.csv"
-        result = subprocess.run(
-            [sys.executable, "-m", "semcorrupt.cli", "report", "--task", "nli",
-             "--seeds", "1", "--out", str(summary), "--per-seed", str(per_seed)],
-            capture_output=True, text=True,
-            env=SUBPROCESS_ENV | {"PYTHONHASHSEED": "1" if run == "a" else "2"},
-        )
-        assert result.returncode == 0, result.stderr
-        outputs.append((summary.read_bytes(), per_seed.read_bytes()))
-    assert outputs[0] == outputs[1]
+    for task in ("nli", "image"):
+        outputs = []
+        for run in ("a", "b"):
+            summary = tmp_path / f"{task}-{run}.csv"
+            per_seed = tmp_path / f"{task}-{run}-seeds.csv"
+            result = subprocess.run(
+                [sys.executable, "-m", "semcorrupt.cli", "report", "--task", task,
+                 "--seeds", "1", "--out", str(summary), "--per-seed", str(per_seed)],
+                capture_output=True, text=True,
+                env=SUBPROCESS_ENV | {"PYTHONHASHSEED": "1" if run == "a" else "2"},
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append((summary.read_bytes(), per_seed.read_bytes()))
+        assert outputs[0] == outputs[1], task
