@@ -99,6 +99,16 @@ class SentencePair:
 # with one stream seed per row for the stochastic ones; the per-example
 # function is the kernel's one-row call.
 
+# Rows per array call of image generation, and per inner step of the two
+# kernels whose working set grows with their rows, freq_filter_rows (its
+# complex spectrum) and gauss_noise_rows (its stream words).  On 1500 32x32
+# rows (best of 5 x 5 calls, three runs, 2 vCPU, numpy 2.4; tracemalloc
+# peaks), one call against 64-row steps: freq_filter_rows 30 102-124 ms and
+# 82 MiB against 44-73 ms and 15 MiB, gauss_noise_rows 70-76 ms and 59 MiB
+# against 47-62 ms and 14 MiB.  The other kernels run as one call:
+# patch_rows 8 took 3.2-6.2 ms, against 5.9-11.3 ms in 64-row chunks.
+GRID_CHUNK = 64
+
 
 def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> list:
     """One Grid per row of a (rows, h, w, c) array, checked as
@@ -192,8 +202,8 @@ def roi_mask(grid: Grid, size: int, seed: int = 0) -> Grid:
 
 
 def freq_filter_rows(values: np.ndarray, cutoff: int) -> np.ndarray:
-    """Batch form of :func:`freq_filter`: one ``fft2`` over axes (1, 2) of
-    all rows and channels, the inverse written over the spectrum."""
+    """Batch form of :func:`freq_filter`: one ``fft2`` over axes (1, 2) per
+    ``GRID_CHUNK`` rows, the inverse written over the spectrum."""
     _, h, w, _ = values.shape
     if cutoff < 0 or cutoff > min(h, w):
         raise SizingError(f"cutoff {cutoff} must lie in [0, {min(h, w)}]")
@@ -206,9 +216,12 @@ def freq_filter_rows(values: np.ndarray, cutoff: int) -> np.ndarray:
     mask = np.fft.ifftshift(shifted)
     # close under frequency negation: mirror[u, v] = mask[-u mod h, -v mod w]
     mask |= np.roll(mask[::-1, ::-1], (1, 1), axis=(0, 1))
-    spec = np.fft.fft2(values, axes=(1, 2))
-    spec[:, mask] = 0.0
-    return np.fft.ifft2(spec, axes=(1, 2), out=spec).real
+    out = np.empty(values.shape)
+    for at in range(0, len(values), GRID_CHUNK):
+        spec = np.fft.fft2(values[at : at + GRID_CHUNK], axes=(1, 2))
+        spec[:, mask] = 0.0
+        out[at : at + GRID_CHUNK] = np.fft.ifft2(spec, axes=(1, 2), out=spec).real
+    return out
 
 
 def freq_filter(grid: Grid, cutoff: int, seed: int = 0) -> Grid:
@@ -282,17 +295,21 @@ def rand_crop(grid: Grid, min_frac: float, seed: int) -> Grid:
 
 def gauss_noise_rows(values: np.ndarray, variance: float, seeds: np.ndarray) -> np.ndarray:
     """Batch form of :func:`gauss_noise`: row ``r`` adds
-    ``Stream(seeds[r]).normals(h * w * c)``, the stream words of all rows
-    drawn as one array and put through one Box-Muller map."""
+    ``Stream(seeds[r]).normals(h * w * c)``, the stream words of
+    ``GRID_CHUNK`` rows drawn as one array and put through one Box-Muller map."""
     if variance < 0.0:
         raise SizingError("variance must be non-negative")
     if variance == 0.0:
         return values.copy()
     _, h, w, c = values.shape
     size = h * w * c
-    u = uniform_words(stream_words(seeds, 2 * ((size + 1) // 2)))
-    noise = box_muller(u)[:, :size].reshape(values.shape)
-    return np.clip(values + np.sqrt(variance) * noise, 0.0, 1.0)
+    out = np.empty(values.shape)
+    for at in range(0, len(values), GRID_CHUNK):
+        chunk = values[at : at + GRID_CHUNK]
+        u = uniform_words(stream_words(seeds[at : at + GRID_CHUNK], 2 * ((size + 1) // 2)))
+        noise = box_muller(u)[:, :size].reshape(chunk.shape)
+        out[at : at + GRID_CHUNK] = np.clip(chunk + np.sqrt(variance) * noise, 0.0, 1.0)
+    return out
 
 
 def gauss_noise(grid: Grid, variance: float, seed: int) -> Grid:
@@ -445,8 +462,8 @@ class Kind:
     accepted covariate classes, whether the output depends on the seed,
     ``run(covariate, param, seed)`` and, for the grid kinds that have one,
     the batch kernel ``batch(values, param, seeds)`` over (rows, h, w, c)
-    values.  Both look their transform up by name at call time so a
-    transform rebound at module level is the one run."""
+    values, run by :func:`apply_rows`.  Both look their transform up by
+    name at call time so a transform rebound at module level is the one run."""
 
     label: str
     check: object
@@ -531,46 +548,27 @@ def apply(spec: CorruptionSpec, covariate, example_index: int):
     return kind.run(covariate, spec.param, seed)
 
 
-# Rows per batch-kernel call, and per array call of image generation.  On
-# 1500 32x32 grids (best of 7 x 5 calls, three runs, 2 vCPU, Python 3.11,
-# numpy 2.4), patch_randomize 8 / freq_filter 30 features took 13-19 /
-# 66-84 ms in chunks of 64 rows, 10-15 / 76-110 ms in chunks of 256 and
-# 17-26 / 121-159 ms unchunked; the desk image sweep peaked at 92, 94 and
-# 150 MiB.  The feature store's patch draws skip this path: one patch_rows
-# call over its clean matrix took 4-7 ms.
-GRID_CHUNK = 64
-
-
-def grid_chunks(spec: CorruptionSpec, grids: list):
-    """Run the spec's batch kernel over Grids, at most GRID_CHUNK rows of
-    one shape per call, each row with ``apply``'s per-example seed.  Yields
-    (example indices, corrupted (rows, h, w, c) values)."""
+def apply_rows(spec: CorruptionSpec, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``spec``'s batch kernel over (rows, h, w, c) grid values whose rows
+    are examples ``index``, each with ``apply``'s per-example seed."""
     kind = KINDS[spec.kind]
-    shapes = [g.values.shape for g in grids]
-    for shape in dict.fromkeys(shapes):
-        same = np.array([i for i, s in enumerate(shapes) if s == shape])
-        for at in range(0, len(same), GRID_CHUNK):
-            rows = same[at:at + GRID_CHUNK]
-            values = np.stack([grids[i].values for i in rows.tolist()])
-            seeds = derive_seeds(spec.seed, rows) if kind.stochastic else None
-            yield rows, kind.batch(values, spec.param, seeds)
-
-
-def batches_grids(spec: CorruptionSpec, covariates: list) -> bool:
-    """True when ``spec`` has a batch kernel and every covariate is a Grid."""
-    return (KINDS[spec.kind].batch is not None
-            and all(isinstance(c, Grid) for c in covariates))
+    return kind.batch(values, spec.param,
+                      derive_seeds(spec.seed, index) if kind.stochastic else None)
 
 
 def apply_all(spec: CorruptionSpec, covariates) -> list:
     """``apply`` to every covariate, with its list position as example
-    index.  N-gram shuffles run as one :func:`ngram_source` batch and grid
-    kinds through their batch kernels (:func:`grid_chunks`)."""
+    index.  N-gram shuffles run as one :func:`ngram_source` batch, and a
+    grid kind with a batch kernel as one kernel call per shape of Grid."""
     covariates = list(covariates)
-    if batches_grids(spec, covariates):
+    if KINDS[spec.kind].batch is not None and all(isinstance(c, Grid) for c in covariates):
         out = [None] * len(covariates)
-        for rows, values in grid_chunks(spec, covariates):
-            for i, grid in zip(rows.tolist(), grid_rows(values, unit_range=False)):
+        shapes = [g.values.shape for g in covariates]
+        for shape in dict.fromkeys(shapes):
+            same = [i for i, s in enumerate(shapes) if s == shape]
+            drawn = apply_rows(spec, np.stack([covariates[i].values for i in same]),
+                               np.array(same))
+            for i, grid in zip(same, grid_rows(drawn, unit_range=False)):
                 out[i] = grid
         return out
     if spec.kind != "ngram_randomize":

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corruptions import Grid, SentencePair, ngram_source, segment_seeds, token_segments
+from .corruptions import Grid, ngram_source, segment_seeds, token_segments
 from .errors import DispatchError, TrainingError
 from .rng import Stream, as_words, derive_seed, derive_seeds
 
@@ -49,15 +49,6 @@ class FeatureSpec:
                 raise ValueError("buckets must be >= 1")
             if self.pair_mode not in _PAIR_MODES:
                 raise ValueError(f"unknown pair_mode {self.pair_mode!r}")
-
-    def width(self, example) -> int:
-        if self.kind == "flatten_grid":
-            return example.values.size
-        if self.kind == "raw_vector":
-            return np.asarray(example, dtype=np.float64).size
-        if isinstance(example, SentencePair) and self.pair_mode == "concat":
-            return 2 * self.buckets
-        return self.buckets
 
 
 class NgramLayout:
@@ -111,14 +102,11 @@ class NgramLayout:
         return counts.astype(np.float64).reshape(self.examples, -1)
 
 
-def bag_of_ngrams(spec: FeatureSpec, covariates, shuffle=None) -> np.ndarray:
+def bag_of_ngrams(spec: FeatureSpec, covariates) -> np.ndarray:
     """The ``bag_of_ngrams`` matrix of token covariates, hashed as arrays
-    through an :class:`NgramLayout`.  ``shuffle``, an ``ngram_randomize``
-    CorruptionSpec, first shuffles each sentence on the flat token array
-    exactly as ``apply`` with the example's index would."""
+    through an :class:`NgramLayout` (the feature store's n-gram draws too)."""
     layout = NgramLayout(spec, covariates)
-    ids = layout.ids if shuffle is None else layout.shuffled(shuffle)
-    return layout.counts(layout.window_buckets(ids))
+    return layout.counts(layout.window_buckets(layout.ids))
 
 
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
@@ -351,12 +339,11 @@ class TrainConfig:
             raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
 
-def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int,
-                   shuffle: bool = True) -> list:
+def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int) -> list:
     """Batch index arrays for one epoch; the permutation depends only on
     (seed, epoch) so distinct loops can reproduce each other's schedule."""
     order = list(range(n))
-    if shuffle and n > 1:
+    if n > 1:
         Stream(derive_seed(seed, _SHUFFLE_TAG, epoch)).shuffle(order)
     order = np.array(order, dtype=np.int64)
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]

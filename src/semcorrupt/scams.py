@@ -15,17 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import (KINDS, CorruptionSpec, Grid, apply_all, batches_grids, grid_chunks,
-                          patch_rows)
+from .corruptions import KINDS, CorruptionSpec, Grid, apply_all, apply_rows
 from .errors import ConfigError, TrainingError
 from .families import Dataset
-from .rng import derive_seed, derive_seeds
+from .rng import derive_seed
 from .learner import (
     FeatureSpec,
     LinearModel,
     NgramLayout,
     TrainConfig,
-    bag_of_ngrams,
     ce_loss_grad,
     check_finite,
     dfl_loss_grad,
@@ -45,20 +43,8 @@ _EPOCH_NOISE_TAG = 103
 def corrupted_features(dataset: Dataset, spec: CorruptionSpec,
                        feature_spec: FeatureSpec) -> np.ndarray:
     """Apply the corruption to every example (noise keyed by example index)
-    and featurize the results.  N-gram shuffles under bag-of-n-gram
-    features go from token arrays to shuffled token arrays to the feature
-    matrix, and grid kinds under ``flatten_grid`` fill the matrix one
-    :func:`grid_chunks` chunk at a time, building no per-example objects."""
-    covs = dataset.covariates
-    if spec.kind == "ngram_randomize" and feature_spec.kind == "bag_of_ngrams":
-        return bag_of_ngrams(feature_spec, covs, shuffle=spec)
-    if (feature_spec.kind == "flatten_grid" and covs and batches_grids(spec, covs)
-            and len({c.values.size for c in covs}) == 1):
-        X = np.empty((len(covs), covs[0].values.size))
-        for rows, values in grid_chunks(spec, covs):
-            X[rows] = values.reshape(len(rows), -1)
-        return X
-    return featurize(feature_spec, apply_all(spec, covs))
+    and featurize the results, read-only: one draw of a new FeatureStore."""
+    return FeatureStore(dataset, feature_spec).corrupted(spec)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -77,9 +63,9 @@ class FeatureStore:
       bag-of-n-gram features are kept as per-window bucket ids in the
       smallest unsigned dtype over one :class:`NgramLayout` of the dataset
       and counted into a fresh matrix on each request; other draws are float
-      matrices too large to keep, so they are computed on each request, a
-      patch shuffle of grids of one shape as one :func:`patch_rows` gather
-      from the clean features;
+      matrices too large to keep, computed on each request, a grid kind with
+      a batch kernel on grids of one shape as one :func:`apply_rows` call
+      over the clean features;
     * :meth:`plan`, each :func:`minibatch_plan`, its batches as views of
       one index array in the smallest unsigned dtype.
 
@@ -100,25 +86,25 @@ class FeatureStore:
         return self._clean
 
     def corrupted(self, spec: CorruptionSpec) -> np.ndarray:
-        """:func:`corrupted_features` of the dataset under ``spec`` (the
-        clean features for ``identity``, which changes nothing)."""
+        """``featurize(feature_spec, apply_all(spec, covariates))``, the one
+        path from a dataset and a corruption to features (the clean features
+        for ``identity``, which changes nothing)."""
         if spec.kind == "identity":
             return self.clean()
-        if spec.kind == "patch_randomize" and self.feature_spec.kind == "flatten_grid":
-            covs = self.dataset.covariates
+        covs = self.dataset.covariates
+        if spec.kind == "ngram_randomize" and self.feature_spec.kind == "bag_of_ngrams":
+            if self._layout is None:
+                self._layout = NgramLayout(self.feature_spec, covs)
+            if spec not in self._draws:
+                self._draws[spec] = self._layout.window_buckets(self._layout.shuffled(spec))
+            return _read_only(self._layout.counts(self._draws[spec]))
+        if KINDS[spec.kind].batch is not None and self.feature_spec.kind == "flatten_grid":
             shapes = {c.values.shape if isinstance(c, Grid) else None for c in covs}
             if len(shapes) == 1 and None not in shapes:
                 n = len(covs)
-                drawn = patch_rows(self.clean().reshape(n, *shapes.pop()), int(spec.param),
-                                   derive_seeds(spec.seed, np.arange(n)))
+                drawn = apply_rows(spec, self.clean().reshape(n, *shapes.pop()), np.arange(n))
                 return _read_only(drawn.reshape(n, -1))
-        if spec.kind != "ngram_randomize" or self.feature_spec.kind != "bag_of_ngrams":
-            return _read_only(corrupted_features(self.dataset, spec, self.feature_spec))
-        if self._layout is None:
-            self._layout = NgramLayout(self.feature_spec, self.dataset.covariates)
-        if spec not in self._draws:
-            self._draws[spec] = self._layout.window_buckets(self._layout.shuffled(spec))
-        return _read_only(self._layout.counts(self._draws[spec]))
+        return _read_only(featurize(self.feature_spec, apply_all(spec, covs)))
 
     def epoch_features(self, spec: CorruptionSpec, first_epoch: np.ndarray):
         """Per-epoch corrupted features: epoch 0 is ``first_epoch``, the

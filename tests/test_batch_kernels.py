@@ -314,6 +314,26 @@ def test_patch_rows_gathers_from_non_contiguous_views():
         assert got.tobytes() == np.array(want).tobytes()
 
 
+def test_chunked_kernels_match_one_row_calls_on_non_contiguous_views():
+    """freq_filter_rows and gauss_noise_rows step GRID_CHUNK rows at a
+    time; rows on both sides of each step equal their one-row calls, and
+    the read-only input is left as it was."""
+    n = 2 * GRID_CHUNK + 5
+    values = np.random.default_rng(10).random((n, 6, 10, 2))
+    view = values[:, :, ::2]
+    view.flags.writeable = False
+    before = view.copy()
+    stream_seeds = derive_seeds(3, np.arange(n))
+    cases = [(freq_filter_rows(view, 2), lambda r: freq_filter(Grid(view[r]), 2)),
+             (gauss_noise_rows(view, 0.01, stream_seeds),
+              lambda r: gauss_noise(Grid(view[r]), 0.01, int(stream_seeds[r])))]
+    for batch, one_row in cases:
+        assert batch.shape == view.shape and batch.flags.c_contiguous
+        for r in range(n):
+            assert batch[r].tobytes() == one_row(r).values.tobytes()
+    assert view.tobytes() == before.tobytes()
+
+
 @given(grid_batches, row_seeds, st.sampled_from([0.0, 1e-4, 0.01, 0.5, 25.0]))
 @KERNEL
 def test_gauss_noise_rows_match_one_row_calls_and_oracle(values, seeds_, variance):
@@ -422,7 +442,7 @@ def test_grid_rows_check_like_grid():
 
 
 # ---------------------------------------------------------------------------
-# the feature store's patch shuffles: one gather from the clean features
+# the feature store's grid draws: one kernel call over the clean features
 
 STORE_SHAPES = [(4, 6, 2), (6, 4, 3), (8, 8, 1)]
 
@@ -457,17 +477,23 @@ def test_store_patch_draws_redraw_rejected_row_past_a_chunk(shape):
 
 @pytest.mark.parametrize("shape", STORE_SHAPES)
 def test_store_patch_draws_are_read_only_and_leave_clean_untouched(shape, monkeypatch):
-    """The draws gather from the clean features, never through the chunked
-    per-covariate path."""
+    """Every kind with a batch kernel (patch at each divisor) draws from the
+    clean features, never through apply_all or corrupted_features, with the
+    bytes of featurize(apply_all(...))."""
     ds = grid_dataset(GRID_CHUNK + 3, shape, key=7)
     fs = FeatureSpec("flatten_grid")
+    specs = [CorruptionSpec("patch_randomize", patch, 5) for patch in divisors(*shape[:2])]
+    specs += [CorruptionSpec(kind, param, 5) for kind, param in
+              (("roi_mask", 3), ("freq_filter", 2), ("intensity_filter", 0.5),
+               ("gauss_noise", 0.01))]
+    want = [featurize(fs, apply_all(spec, ds.covariates)).tobytes() for spec in specs]
     store = FeatureStore(ds, fs)
+    monkeypatch.setattr(scams, "apply_all", None)
     monkeypatch.setattr(scams, "corrupted_features", None)
     clean = store.clean().copy()
-    for patch in divisors(*shape[:2]):
-        spec = CorruptionSpec("patch_randomize", patch, 5)
+    for spec, expect in zip(specs, want):
         got = store.corrupted(spec)
-        assert got.tobytes() == ref_patch_features(ds.covariates, patch, 5).tobytes()
+        assert got.tobytes() == expect, spec
         with pytest.raises(ValueError, match="read-only"):
             got[0, 0] = 1.0
     assert store.clean().tobytes() == clean.tobytes()

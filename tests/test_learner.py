@@ -66,16 +66,6 @@ class TestFeatureSpec:
         with pytest.raises(ValueError):
             FeatureSpec("bag_of_ngrams", pair_mode="sum")
 
-    def test_width(self):
-        assert FeatureSpec("flatten_grid").width(grid([[1, 2], [3, 4]])) == 4
-        assert FeatureSpec("raw_vector").width((1.0, 2.0, 3.0)) == 3
-        spec = FeatureSpec("bag_of_ngrams", buckets=32)
-        pair = SentencePair(TokenSeq((1, 2), 0), TokenSeq((3,), 0))
-        assert spec.width(pair) == 64
-        assert FeatureSpec("bag_of_ngrams", buckets=32,
-                           pair_mode="hypothesis_only").width(pair) == 32
-        assert spec.width(TokenSeq((1, 2, 3), 0)) == 32
-
 
 class TestFeaturize:
     def test_flatten_grid(self):
@@ -404,10 +394,6 @@ class TestMinibatchPlan:
         c = minibatch_plan(20, 8, seed=5, epoch=3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
-
-    def test_no_shuffle_keeps_order(self):
-        plan = minibatch_plan(6, 4, seed=9, epoch=0, shuffle=False)
-        assert np.concatenate(plan).tolist() == list(range(6))
 
     def test_oversized_batch(self):
         plan = minibatch_plan(3, 100, seed=0, epoch=0)
