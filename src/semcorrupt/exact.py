@@ -9,6 +9,7 @@ precision on small synthetic families.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -19,9 +20,13 @@ POSTERIOR_FLOOR = 1e-12
 
 
 class JointTable:
-    """Sparse exact pmf over a tuple of named variables."""
+    """Sparse exact pmf over a tuple of named variables.
 
-    __slots__ = ("variables", "cells", "supports")
+    A table is immutable: its marginals are kept on first request, so
+    ``cells`` must never be mutated.
+    """
+
+    __slots__ = ("variables", "cells", "_supports", "_marginals")
 
     def __init__(self, variables, cells: Mapping):
         vs = tuple(variables)
@@ -33,21 +38,26 @@ class JointTable:
             if len(k) != len(vs):
                 raise ValueError(f"cell key {k!r} does not match variables {vs}")
             p = float(prob)
-            if p < 0.0:
-                if p < -1e-15:
-                    raise ValueError(f"negative probability {p} at {k!r}")
-                p = 0.0
             if p > 0.0:
                 clean[k] = p
+            elif not p >= -1e-15:   # NaN fails every comparison
+                kind = "negative" if p < 0.0 else "non-finite"
+                raise ValueError(f"{kind} probability {p} at {k!r}")
         total = math.fsum(clean.values())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.variables = vs
         self.cells = clean
-        sup = {}
-        for i, name in enumerate(vs):
-            sup[name] = tuple(sorted({k[i] for k in clean}))
-        self.supports = sup
+        self._supports = None
+        self._marginals = {}
+
+    @property
+    def supports(self) -> dict:
+        """Sorted values of each variable that carry mass."""
+        if self._supports is None:
+            self._supports = {name: tuple(sorted({k[i] for k in self.cells}))
+                              for i, name in enumerate(self.variables)}
+        return self._supports
 
     def _indices(self, names):
         try:
@@ -56,12 +66,23 @@ class JointTable:
             raise ValueError(f"unknown variable among {names!r}; have {self.variables}")
 
     def marginal(self, *names: str) -> "JointTable":
+        if names == self.variables:
+            return self
+        kept = self._marginals.get(names)
+        if kept is not None:
+            return kept
         idx = self._indices(names)
+        if len(idx) == 1:
+            i, = idx
+            project = lambda key: (key[i],)
+        else:
+            project = operator.itemgetter(*idx) if idx else lambda key: ()
         out: dict = {}
         for key, p in self.cells.items():
-            sub = tuple(key[i] for i in idx)
+            sub = project(key)
             out[sub] = out.get(sub, 0.0) + p
-        return JointTable(names, out)
+        kept = self._marginals[names] = JointTable(names, out)
+        return kept
 
     def prob(self, **assignment) -> float:
         idx = self._indices(assignment.keys())
@@ -124,11 +145,11 @@ class FiniteCorruption:
     """Finite-noise corruption: a map (x, delta) -> t plus a delta pmf."""
 
     def __init__(self, fn: Callable, delta_pmf: Mapping, label: str = "corruption"):
+        if not all(0.0 <= v < math.inf for v in delta_pmf.values()):
+            raise ValueError("delta probabilities must be finite and non-negative")
         total = math.fsum(float(v) for v in delta_pmf.values())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"delta pmf sums to {total!r}, not 1")
-        if any(v < 0 for v in delta_pmf.values()):
-            raise ValueError("delta probabilities must be non-negative")
         self.fn = fn
         self.delta_pmf = dict(delta_pmf)
         self.label = label
@@ -233,8 +254,12 @@ def _reweighted_measure(p: JointTable, corruption: FiniteCorruption) -> dict:
     Sums to one exactly when every corrupted value leaves all labels
     possible; a leaky corruption loses mass instead.
     """
+    return _reweighted_by(p, corruption, _posterior_given_corrupted(p, corruption))
+
+
+def _reweighted_by(p: JointTable, corruption: FiniteCorruption, post: dict) -> dict:
+    """:func:`_reweighted_measure` given p(y | t) as ``post``."""
     y_m = p.marginal("y").cells
-    post = _posterior_given_corrupted(p, corruption)
     out: dict = {}
     for (y, x), q, pd, t in _pushforward(p.marginal("y", "x").cells, corruption):
         out[(y, x)] = out.get((y, x), 0.0) + pd * y_m[(y,)] / _label_posterior(post, t, y) * q
@@ -286,7 +311,7 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption, slack: float =
     epsilon = math.sqrt(eps2)
     moment = math.sqrt(m2)
     target = pp.marginal("y", "x").cells
-    raw = _reweighted_measure(p, corruption)
+    raw = _reweighted_by(p, corruption, post_t)
     keys = set(target) | set(raw)
     l1 = math.fsum(abs(target.get(k, 0.0) - raw.get(k, 0.0)) for k in keys)
     return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + slack)
@@ -321,7 +346,7 @@ def predictor_accuracy(p: JointTable, predictor) -> float:
 
     ``predictor`` is a mapping over the covariate support or a callable.
     """
-    yx = p if p.variables == ("y", "x") else p.marginal("y", "x")
+    yx = p.marginal("y", "x")
     if isinstance(predictor, Mapping):
         table = predictor
         missing = [x for (_y, x) in yx.cells if x not in table]

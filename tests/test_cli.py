@@ -373,3 +373,15 @@ def test_report_is_byte_identical_across_processes(tmp_path):
             assert result.returncode == 0, result.stderr
             outputs.append((summary.read_bytes(), per_seed.read_bytes()))
         assert outputs[0] == outputs[1], task
+    table = tmp_path / "table.csv"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "semcorrupt.cli", "verify-theory", "--fuzz", "200",
+             "--seed", "7", "--table", str(table)],
+            capture_output=True, env=SUBPROCESS_ENV | {"PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((result.stdout, table.read_bytes()))
+        table.unlink()
+    assert outputs[0] == outputs[1], "verify-theory"

@@ -65,6 +65,43 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable(("y", "z"), {(0,): 1.0})
 
+    @pytest.mark.parametrize("cells", [
+        {(0,): 1.0, (1,): math.nan},
+        {(0,): math.nan},
+        {(0,): 0.5, (1,): 0.5, (2,): -math.inf},
+        {(0,): 1.0, (1,): math.inf},
+    ])
+    def test_rejects_non_finite_mass(self, cells):
+        with pytest.raises(ValueError):
+            JointTable(("a",), cells)
+
+    def test_marginal_over_all_variables_is_the_table(self):
+        p = flip_noise_family(1).joint(0.9)
+        assert p.marginal(*p.variables) is p
+
+    def test_marginal_is_kept(self):
+        p = flip_noise_family(1).joint(0.9)
+        assert p.marginal("y", "x") is p.marginal("y", "x")
+        assert p.marginal("x", "y") is not p.marginal("y", "x")
+        swapped = {(x, y): q for (y, x), q in p.marginal("y", "x").cells.items()}
+        assert p.marginal("x", "y").cells == swapped
+
+    def test_marginal_unknown_name_raises(self):
+        p = flip_noise_family(1).joint(0.9)
+        for names in (("w",), ("y", "w")):
+            with pytest.raises(ValueError):
+                p.marginal(*names)
+            with pytest.raises(ValueError):   # a failed request is not kept
+                p.marginal(*names)
+
+    def test_supports_are_sorted_values(self):
+        p = negated_coordinate_family(0.5, 4).joint(0.3)
+        for i, name in enumerate(p.variables):
+            assert p.supports[name] == tuple(sorted({k[i] for k in p.cells}))
+        assert p.supports is p.supports
+        with pytest.raises(AttributeError):
+            p.supports = {}
+
     def test_marginal_and_prob(self):
         p = flip_noise_family(1).joint(0.9)
         y = p.marginal("y").cells
@@ -96,6 +133,19 @@ class TestJointTable:
         assert a.l1(b) == pytest.approx(0.6, abs=1e-15)
         assert b.l1(a) == pytest.approx(0.6, abs=1e-15)
         assert a.l1(a) == 0.0
+
+
+class TestFiniteCorruption:
+    @pytest.mark.parametrize("pmf", [
+        {0: math.nan},
+        {0: 1.0, 1: math.nan},
+        {0: 1.0, 1: math.inf},
+        {0: 1.5, 1: -0.5},
+        {0: 0.4, 1: 0.4},
+    ])
+    def test_rejects_bad_noise_pmf(self, pmf):
+        with pytest.raises(ValueError):
+            FiniteCorruption(lambda x, d: x, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +482,77 @@ def test_corruption_engine_matches_enumerated_oracle(case):
     for t in reachable - set(ref["post_t"]):
         with pytest.raises(UndefinedWeightError):
             post.at(t)
+
+
+MARGINAL_NAMES = (("y",), ("z",), ("x",), ("y", "x"), ("x", "y"), ("y", "z"),
+                  ("z", "y"), ("z", "x"), ("y", "z", "x"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_tables(), st.permutations(MARGINAL_NAMES), st.integers(0, len(MARGINAL_NAMES)))
+def test_kept_marginals_do_not_depend_on_request_order(case, order, warm):
+    """A table whose marginals were requested in any order first gives the
+    same bits as a fresh one."""
+    cells, corruption, _reachable = case
+    fresh = JointTable(("y", "z", "x"), cells)
+    warmed = JointTable(("y", "z", "x"), cells)
+    for names in order[:warm]:
+        warmed.marginal(*names)
+    for names in order:
+        got, want = warmed.marginal(*names), fresh.marginal(*names)
+        assert got.variables == want.variables
+        assert [(k, q.hex()) for k, q in got.cells.items()] == \
+            [(k, q.hex()) for k, q in want.cells.items()]
+    a = corruption_bound(warmed, corruption)
+    b = corruption_bound(JointTable(("y", "z", "x"), cells), corruption)
+    assert (a.epsilon.hex(), a.moment.hex(), a.l1.hex()) == \
+        (b.epsilon.hex(), b.moment.hex(), b.l1.hex())
+
+
+# ---------------------------------------------------------------------------
+# frozen bits: every float the engine returns on a fixed grid
+
+
+def _pin_corruptions(dim):
+    """Every coordinate mask, absolute values and, in 3-d, permutations."""
+    masks = [tuple(bool(bits >> i & 1) for i in range(dim)) for bits in range(1, 2 ** dim)]
+    out = [FiniteCorruption.deterministic(
+        lambda x, m=m: tuple(v if k else 0.0 for v, k in zip(x, m)), f"mask{m}")
+        for m in masks]
+    out.append(FiniteCorruption.deterministic(lambda x: tuple(abs(v) for v in x), "abs"))
+    if dim == 3:
+        out.append(FiniteCorruption.coordinate_permutations(3))
+    return out
+
+
+def _hash_table(h, table):
+    for key, q in sorted(table.cells.items(), key=lambda kv: repr(kv[0])):
+        h.update(f"{key!r}={q.hex()};".encode())
+
+
+def engine_bits_digest():
+    """sha256 over ``float.hex`` of the bound report and of the cells of the
+    three derived tables, for every (family, rho, corruption) on the grid."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for fam, dim in ((flip_noise_family(1), 2), (flip_noise_family(2), 2),
+                     (negated_coordinate_family(0.5, 6), 3), (xor_sign_family(0.5, 6), 2)):
+        for rho in (0.2, 0.7):
+            p = fam.joint(rho)
+            h.update(f"{fam.name} {rho}|".encode())
+            _hash_table(h, nuisance_randomize(p))
+            for corr in _pin_corruptions(dim):
+                h.update(f"{corr.label}|".encode())
+                rep = corruption_bound(p, corr)
+                h.update(f"{rep.epsilon.hex()} {rep.moment.hex()} {rep.l1.hex()}|".encode())
+                _hash_table(h, corruption_randomize(p, corr))
+                _hash_table(h, extend_with_corruption(p, corr))
+    return h.hexdigest()
+
+
+ENGINE_BITS = "639ed45470176055d931a7e28b0360bc654efa0bf2b5a97d6d63062c8770e46e"
+
+
+def test_engine_bits_are_frozen():
+    assert engine_bits_digest() == ENGINE_BITS
