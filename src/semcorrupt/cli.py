@@ -16,6 +16,7 @@ from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
 from .errors import ConfigError, TrainingError, UndefinedWeightError
 from .families import Dataset
 from .harness import (
+    METHODS,
     MethodSpec,
     desk_image_experiment,
     desk_nli_experiment,
@@ -183,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scam", help="train a debiasing method")
     _add_train_args(s)
-    s.add_argument("--method", choices=("nurd", "jtt", "poe", "dfl"), required=True)
+    s.add_argument("--method", choices=[name for name, m in METHODS.items() if m.routine],
+                   required=True)
     s.add_argument("--kind", required=True, help="corruption kind")
     s.add_argument("--param", type=float, default=None)
     s.add_argument("--corruption-seed", type=int, default=0)

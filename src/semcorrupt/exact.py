@@ -95,10 +95,10 @@ class JointTable:
 
     def posterior(self, target: str, given: str) -> dict:
         """dict mapping each given-value with mass to {target-value: prob}."""
-        m = self.marginal(given, target)
+        m = self.marginal(target, given)
         mass: dict = {}
         table: dict = {}
-        for (gv, tv), p in m.cells.items():
+        for (tv, gv), p in m.cells.items():
             mass[gv] = mass.get(gv, 0.0) + p
             table.setdefault(gv, {})[tv] = p
         return {gv: {tv: p / mass[gv] for tv, p in row.items()} for gv, row in table.items()}

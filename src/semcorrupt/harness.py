@@ -40,8 +40,8 @@ from .rng import Stream, derive_seed
 from .scams import (
     FeatureStore,
     feature_store,
-    run_dfl,
-    run_jtt,
+    run_dfl,                       # the run_* routines are called by name
+    run_jtt,                       # through METHODS
     run_nurd,
     run_poe,
     select_corruption,
@@ -89,30 +89,46 @@ def score_features(model: LinearModel, X: np.ndarray, dataset: Dataset) -> Metri
 # benchmark loop
 
 @dataclass(frozen=True)
-class MethodSpec:
-    """One benchmark entry: a debiasing method plus its corruption."""
+class Method:
+    """A debiasing method: label format over the :class:`MethodSpec` and its
+    corruption's label, ``scams.run_*`` routine name (None: plain training),
+    hyperparameter field and validation scheme.  The routine is looked up by
+    name at call time, so one rebound at module level is the one run."""
 
-    name: str                      # erm | nurd | jtt | poe | dfl
+    label: str
+    routine: str | None = None
+    param: str | None = None
+    scheme: str | None = None      # balanced | challenge | iid (worst group)
+
+
+METHODS = {
+    "erm": Method("erm"),
+    "nurd": Method("nurd+{1}", "run_nurd", scheme="balanced"),
+    "jtt": Method("jtt{0.lambda_up}+{1}", "run_jtt", "lambda_up", "iid"),
+    "poe": Method("poe+{1}", "run_poe", scheme="challenge"),
+    "dfl": Method("dfl{0.gamma:g}+{1}", "run_dfl", "gamma", "challenge"),
+}
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One benchmark entry: a :data:`METHODS` name plus its corruption."""
+
+    name: str
     corruption: CorruptionSpec | None = None
     lambda_up: int = 6
     gamma: float = 2.0
 
     def __post_init__(self):
-        if self.name not in ("erm", "nurd", "jtt", "poe", "dfl"):
+        if self.name not in METHODS:
             raise ConfigError(f"unknown method {self.name!r}")
-        if self.name != "erm" and self.corruption is None:
+        if METHODS[self.name].routine is not None and self.corruption is None:
             raise ConfigError(f"{self.name} needs a corruption")
 
     @property
     def label(self) -> str:
-        if self.name == "erm":
-            return "erm"
-        tag = self.corruption.label
-        if self.name == "jtt":
-            return f"jtt{self.lambda_up}+{tag}"
-        if self.name == "dfl":
-            return f"dfl{self.gamma:g}+{tag}"
-        return f"{self.name}+{tag}"
+        tag = None if self.corruption is None else self.corruption.label
+        return METHODS[self.name].label.format(self, tag)
 
 
 @dataclass(frozen=True)
@@ -153,22 +169,16 @@ def run_method(method: MethodSpec, dataset: Dataset, feature_spec: FeatureSpec,
     ``store``, a :class:`FeatureStore` of this dataset and feature spec,
     shares features and batch plans with other methods on it."""
     store = feature_store(store, dataset, feature_spec)
-    if method.name == "erm":
+    entry = METHODS[method.name]
+    if entry.routine is None:
         X = store.clean()
         model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
         info = {"losses": train(model, X, dataset.labels, cfg_main, plan=store.plan)}
-    elif method.name == "nurd":
-        model, info = run_nurd(dataset, method.corruption, feature_spec, cfg_main,
-                               cfg_aux, hidden, hidden, store)
-    elif method.name == "jtt":
-        model, info = run_jtt(dataset, method.corruption, feature_spec, cfg_main,
-                              cfg_aux, method.lambda_up, hidden, hidden, store)
-    elif method.name == "poe":
-        model, info = run_poe(dataset, method.corruption, feature_spec, cfg_main,
-                              cfg_aux, hidden, hidden, store=store)
     else:
-        model, info = run_dfl(dataset, method.corruption, feature_spec, cfg_main,
-                              cfg_aux, method.gamma, hidden, hidden, store)
+        run = globals()[entry.routine]
+        params = () if entry.param is None else (getattr(method, entry.param),)
+        model, info = run(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
+                          *params, hidden, hidden, store=store)
     model.feature_spec = feature_spec
     return model, info
 
@@ -179,29 +189,21 @@ _SELECT_VAL_TAG = 21
 
 def select_corruption_for(config: ExperimentConfig, method: MethodSpec,
                           candidates, seed: int = 0):
-    """Choose a corruption for ``method`` under its own validation scheme.
-
-    Reweighting selects by accuracy on a validation set drawn with label
-    and nuisance independent; upsampling selects by worst-group accuracy on
-    an in-distribution validation set (group annotations required); the
-    joint-training methods select by accuracy on a smaller balanced
-    challenge set.  The identity corruption always competes, and ties keep
-    the earliest candidate, so a corruption is only ever chosen when it
-    strictly helps.
-    """
-    if method.name == "erm":
+    """Choose a corruption for ``method`` by its :data:`METHODS` scheme:
+    accuracy on a balanced set (label and nuisance independent) of
+    ``n_eval`` examples or, for ``challenge``, ``max(64, n_eval // 4)``; or
+    worst-group accuracy on an in-distribution set of ``n_eval`` (``iid``).
+    The identity corruption always competes, and ties keep the earliest
+    candidate, so a corruption is only ever chosen when it strictly helps."""
+    scheme = METHODS[method.name].scheme
+    if scheme is None:
         raise ConfigError("corruption selection needs a corruption-driven method")
     train_ds = generate_task(config.task, config.rho_train, config.n_train,
                              derive_seed(seed, _SELECT_TRAIN_TAG))
-    if method.name == "jtt":
-        val = generate_task(config.task, config.rho_train, config.n_eval,
-                            derive_seed(seed, _SELECT_VAL_TAG))
-    elif method.name == "nurd":
-        val = generate_task(config.task, 0.5, config.n_eval,
-                            derive_seed(seed, _SELECT_VAL_TAG))
-    else:
-        val = generate_task(config.task, 0.5, max(64, config.n_eval // 4),
-                            derive_seed(seed, _SELECT_VAL_TAG))
+    rho, n_val = {"balanced": (0.5, config.n_eval),
+                  "challenge": (0.5, max(64, config.n_eval // 4)),
+                  "iid": (config.rho_train, config.n_eval)}[scheme]
+    val = generate_task(config.task, rho, n_val, derive_seed(seed, _SELECT_VAL_TAG))
     cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
     cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
     store = FeatureStore(train_ds, config.feature)
@@ -212,7 +214,7 @@ def select_corruption_for(config: ExperimentConfig, method: MethodSpec,
         model, _ = run_method(candidate, train_ds, config.feature, cfg_main,
                               cfg_aux, config.hidden, store)
         rec = score_features(model, X_val, val)
-        if method.name == "jtt" and rec.worst_group is not None:
+        if scheme == "iid" and rec.worst_group is not None:
             return rec.worst_group
         return rec.accuracy
 

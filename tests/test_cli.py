@@ -191,6 +191,15 @@ class TestExitCodes:
                      "--epochs", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["erm", "boosting"])
+    def test_scam_takes_only_corruption_driven_methods(self, image_dir, tmp_path, method):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["scam", "--method", method, "--kind", "patch_randomize", "--param", "8",
+                  "--in", image_dir, "--out", str(out), "--seed", "0", "--epochs", "1"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["corrupt", "--kind", "patch_randomize", "--param", "inf"],
         ["corrupt", "--kind", "patch_randomize", "--param", "8.5"],
@@ -261,8 +270,9 @@ class TestNonFiniteNumerics:
 
     def test_train_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys):
         model_path = tmp_path / "m.bin"
-        code = main(["train", "--in", huge_dir, "--out", str(model_path), "--seed", "0",
-                     "--epochs", "1", "--batch", "64", "--lr", "1e200"])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["train", "--in", huge_dir, "--out", str(model_path), "--seed", "0",
+                         "--epochs", "1", "--batch", "64", "--lr", "1e200"])
         assert code == 3
         assert "non-finite parameters" in capsys.readouterr().err
         assert not model_path.exists()
@@ -271,10 +281,11 @@ class TestNonFiniteNumerics:
                                         ["--method", "dfl", "--gamma", "0"]])
     def test_scam_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys, method):
         model_path = tmp_path / "m.bin"
-        code = main(["scam", *method, "--kind", "coordinate_mask", "--param", "1",
-                     "--in", huge_dir, "--out", str(model_path), "--seed", "0",
-                     "--epochs", "1", "--aux-epochs", "1", "--batch", "64",
-                     "--lr", "1e200", "--aux-lr", "1e-160"])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["scam", *method, "--kind", "coordinate_mask", "--param", "1",
+                         "--in", huge_dir, "--out", str(model_path), "--seed", "0",
+                         "--epochs", "1", "--aux-epochs", "1", "--batch", "64",
+                         "--lr", "1e200", "--aux-lr", "1e-160"])
         assert code == 3
         assert "non-finite parameters" in capsys.readouterr().err
         assert not model_path.exists()

@@ -20,7 +20,7 @@ from semcorrupt.families import (
     synthetic_nli_task,
     xor_sign_family,
 )
-from semcorrupt import harness
+from semcorrupt import harness, scams
 from semcorrupt.harness import (
     DESK_SEEDS,
     REFERENCE_PREDICTOR_TABLE,
@@ -164,6 +164,29 @@ class TestRunMethod:
         assert isinstance(model, LinearModel)
         assert len(info["losses"]) == cfg_main.epochs
         assert all(np.isfinite(info["losses"]))
+
+    @pytest.mark.parametrize("name", ["nurd", "jtt", "poe", "dfl"])
+    def test_routine_rebound_by_name_is_the_one_run(self, name, monkeypatch):
+        """A ``run_*`` routine rebound in ``scams`` and in every module that
+        imported it, as a tracer does, is what ``run_method`` calls, with
+        the same arguments and result as the original."""
+        ds = synthetic_nli_task(0.9, 48, 5)
+        cfg_main = TrainConfig(epochs=2, batch_size=16, lr=0.1)
+        cfg_aux = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1)
+        method = MethodSpec(name, NR1)
+        want, _ = run_method(method, ds, default_feature_spec("nli"), cfg_main, cfg_aux)
+        real = getattr(scams, f"run_{name}")
+        calls = []
+
+        def rebound(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        for module in (scams, harness):
+            monkeypatch.setattr(module, f"run_{name}", rebound)
+        got, _ = run_method(method, ds, default_feature_spec("nli"), cfg_main, cfg_aux)
+        assert calls == [name]
+        assert got.get_flat().tobytes() == want.get_flat().tobytes()
 
 
 class TestTaskHelpers:
@@ -380,23 +403,31 @@ class TestSharedWork:
         assert [seed for seed, _ in got.outcomes[failed].errors] == [0, 1]
         assert all(not o.errors for label, o in got.outcomes.items() if label != failed)
 
-    def test_selection_scores_equal_unshared_runs(self, fitted):
+    @pytest.mark.parametrize("name, rho, size, metric", [
+        pytest.param("nurd", 0.5, 40, "accuracy", id="nurd"),     # balanced, n_eval
+        pytest.param("jtt", 0.9, 40, "worst_group", id="jtt"),    # in distribution
+        pytest.param("poe", 0.5, 64, "accuracy", id="poe"),       # max(64, n_eval // 4)
+        pytest.param("dfl", 0.5, 64, "accuracy", id="dfl"),
+    ])
+    def test_selection_scores_equal_unshared_runs(self, fitted, name, rho, size, metric):
         config = shared_config("nli", 0)
-        method = MethodSpec("nurd", NR1)
+        method = MethodSpec(name, NR1)
         candidates = [NR1, CorruptionSpec("ngram_randomize", 2, 7)]
         _, _, scored = select_corruption_for(config, method, candidates, seed=4)
         shared_fits = fitted[:]
         fitted.clear()
         train_ds = generate_task("nli", config.rho_train, config.n_train,
                                  derive_seed(4, harness._SELECT_TRAIN_TAG))
-        val = generate_task("nli", 0.5, config.n_eval, derive_seed(4, harness._SELECT_VAL_TAG))
+        val = generate_task("nli", rho, size, derive_seed(4, harness._SELECT_VAL_TAG))
         want = []
         for spec in [CorruptionSpec("identity"), *candidates]:
             model, _ = harness.run_method(
                 replace(method, corruption=spec), train_ds, config.feature,
                 replace(config.cfg_main, seed=derive_seed(4, 10)),
                 replace(config.cfg_aux, seed=derive_seed(4, 11)))
-            want.append((spec, evaluate(model, val, config.feature).accuracy))
+            value = getattr(evaluate(model, val, config.feature), metric)
+            assert value is not None
+            want.append((spec, value))
         assert scored == want
         assert shared_fits == fitted
 
