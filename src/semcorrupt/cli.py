@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
-configuration (bad numbers, damaged model files), 3 runtime failure
-(diverged training, unreadable files, undefined reweighting, a ``report``
+configuration (bad numbers, damaged dataset or model files, non-finite
+vector data), 3 runtime failure (diverged training, unreadable files,
+undefined reweighting, a request too large to allocate, a ``report``
 sweep with a failed (method, seed) cell).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
 from .errors import ConfigError, TrainingError, UndefinedWeightError
@@ -54,14 +56,9 @@ def _cmd_gen(args) -> int:
 def _cmd_corrupt(args) -> int:
     ds = load_dataset(args.src)
     spec = CorruptionSpec(args.kind, args.param, args.seed)
-    out = Dataset(
-        covariates=apply_all(spec, ds.covariates),
-        labels=ds.labels,
-        n_classes=ds.n_classes,
-        nuisances=ds.nuisances,
-        groups=ds.groups,
-        provenance=ds.provenance | {"corruption": spec.label, "corruption_seed": spec.seed},
-    )
+    out = replace(ds, covariates=apply_all(spec, ds.covariates),
+                  provenance=ds.provenance | {"corruption": spec.label,
+                                              "corruption_seed": spec.seed})
     save_dataset(out, args.out)
     print(f"applied {spec.label} to {len(ds)} examples -> {args.out}")
     return 0
@@ -234,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingError, UndefinedWeightError, OSError) as exc:
+    except (TrainingError, UndefinedWeightError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:

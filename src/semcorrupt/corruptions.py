@@ -196,7 +196,7 @@ def roi_mask_rows(values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def roi_mask(grid: Grid, size: int, seed: int = 0) -> Grid:
+def roi_mask(grid: Grid, size: int) -> Grid:
     """Zero a centered size x size square; offset floor((dim - size) / 2)."""
     return _one_row(roi_mask_rows, grid, size)
 
@@ -224,7 +224,7 @@ def freq_filter_rows(values: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def freq_filter(grid: Grid, cutoff: int, seed: int = 0) -> Grid:
+def freq_filter(grid: Grid, cutoff: int) -> Grid:
     """Remove the lowest frequencies: zero a centered cutoff x cutoff square
     of the zero-frequency-centered 2D spectrum, per channel.
 
@@ -246,7 +246,7 @@ def intensity_filter_rows(values: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
-def intensity_filter(grid: Grid, threshold: float, seed: int = 0) -> Grid:
+def intensity_filter(grid: Grid, threshold: float) -> Grid:
     """Zero every pixel whose per-channel mean is strictly above threshold."""
     return _one_row(intensity_filter_rows, grid, threshold)
 
@@ -422,7 +422,7 @@ def ngram_randomize(seq: TokenSeq, n: int, seed: int) -> TokenSeq:
     return TokenSeq(tuple(toks[i] for i in src.tolist()), seq.mask_id)
 
 
-def premise_mask(pair: SentencePair, seed: int = 0) -> SentencePair:
+def premise_mask(pair: SentencePair) -> SentencePair:
     """Replace every premise token with MASK; the hypothesis is untouched."""
     masked = TokenSeq((pair.premise.mask_id,) * len(pair.premise), pair.premise.mask_id)
     return SentencePair(masked, pair.hypothesis)
@@ -431,7 +431,7 @@ def premise_mask(pair: SentencePair, seed: int = 0) -> SentencePair:
 # ---------------------------------------------------------------------------
 # plain-vector corruption (for sampled finite families)
 
-def coordinate_mask(vector: tuple, index: int, seed: int = 0) -> tuple:
+def coordinate_mask(vector: tuple, index: int) -> tuple:
     """Zero one coordinate of a plain numeric tuple.
 
     This is the sampled-data counterpart of the masking noise model used by
@@ -484,13 +484,13 @@ KINDS = {
                             lambda c, p, s: patch_randomize(c, int(p), s),
                             lambda v, p, s: patch_rows(v, int(p), s)),
     "roi_mask": Kind("rm", _whole(0), (Grid,), False,
-                     lambda c, p, s: roi_mask(c, int(p), s),
+                     lambda c, p, s: roi_mask(c, int(p)),
                      lambda v, p, s: roi_mask_rows(v, int(p))),
     "freq_filter": Kind("ff", _whole(0), (Grid,), False,
-                        lambda c, p, s: freq_filter(c, int(p), s),
+                        lambda c, p, s: freq_filter(c, int(p)),
                         lambda v, p, s: freq_filter_rows(v, int(p))),
     "intensity_filter": Kind("if", lambda p: 0.0 <= float(p) <= 1.0, (Grid,), False,
-                             lambda c, p, s: intensity_filter(c, float(p), s),
+                             lambda c, p, s: intensity_filter(c, float(p)),
                              lambda v, p, s: intensity_filter_rows(v, float(p))),
     "rand_crop": Kind("crop", lambda p: 0.0 < float(p) <= 1.0, (Grid,), True,
                       lambda c, p, s: rand_crop(c, float(p), s)),
@@ -500,9 +500,9 @@ KINDS = {
     "ngram_randomize": Kind("nr", _whole(1), (SentencePair, TokenSeq), True,
                             lambda c, p, s: _shuffle_sentences(c, int(p), s)),
     "premise_mask": Kind("pm", None, (SentencePair,), False,
-                         lambda c, p, s: premise_mask(c, s)),
+                         lambda c, p, s: premise_mask(c)),
     "coordinate_mask": Kind("cm", _whole(0), (tuple, list), False,
-                            lambda c, p, s: coordinate_mask(tuple(c), int(p), s)),
+                            lambda c, p, s: coordinate_mask(tuple(c), int(p))),
 }
 
 
@@ -556,21 +556,23 @@ def apply_rows(spec: CorruptionSpec, values: np.ndarray, index: np.ndarray) -> n
                       derive_seeds(spec.seed, index) if kind.stochastic else None)
 
 
+def grid_shape(covariates) -> tuple | None:
+    """The (h, w, c) shape every covariate shares when all are Grids of one
+    shape; None otherwise (an empty list included)."""
+    shapes = {c.values.shape if isinstance(c, Grid) else None for c in covariates}
+    return shapes.pop() if len(shapes) == 1 else None
+
+
 def apply_all(spec: CorruptionSpec, covariates) -> list:
     """``apply`` to every covariate, with its list position as example
     index.  N-gram shuffles run as one :func:`ngram_source` batch, and a
-    grid kind with a batch kernel as one kernel call per shape of Grid."""
+    grid kind with a batch kernel on Grids of one shape as one kernel call;
+    anything else runs example by example, which gives the same bits."""
     covariates = list(covariates)
-    if KINDS[spec.kind].batch is not None and all(isinstance(c, Grid) for c in covariates):
-        out = [None] * len(covariates)
-        shapes = [g.values.shape for g in covariates]
-        for shape in dict.fromkeys(shapes):
-            same = [i for i, s in enumerate(shapes) if s == shape]
-            drawn = apply_rows(spec, np.stack([covariates[i].values for i in same]),
-                               np.array(same))
-            for i, grid in zip(same, grid_rows(drawn, unit_range=False)):
-                out[i] = grid
-        return out
+    if KINDS[spec.kind].batch is not None and grid_shape(covariates) is not None:
+        drawn = apply_rows(spec, np.stack([c.values for c in covariates]),
+                           np.arange(len(covariates)))
+        return grid_rows(drawn, unit_range=False)
     if spec.kind != "ngram_randomize":
         return [apply(spec, cov, i) for i, cov in enumerate(covariates)]
     seqs, rows, tags = token_segments(covariates)

@@ -17,6 +17,7 @@ from .errors import UndefinedWeightError
 
 SUM_TOL = 1e-12
 POSTERIOR_FLOOR = 1e-12
+BOUND_SLACK = 1e-9        # float noise allowed above corruption_bound's bound
 
 
 class JointTable:
@@ -290,14 +291,14 @@ class BoundReport:
     holds: bool
 
 
-def corruption_bound(p: JointTable, corruption: FiniteCorruption, slack: float = 1e-9) -> BoundReport:
+def corruption_bound(p: JointTable, corruption: FiniteCorruption) -> BoundReport:
     """Exact L1 bound check for corruption-reweighting.
 
     epsilon^2 and the second moment are taken under the nuisance-randomized
     joint times the corruption noise.  The L1 distance compares the
     nuisance-randomized joint with the raw (unnormalized) reweighted
     measure, which is the quantity the Cauchy-Schwarz argument controls;
-    the report checks ``l1 <= moment * epsilon + slack``.
+    the report checks ``l1 <= moment * epsilon + BOUND_SLACK``.
     """
     pp = nuisance_randomize(p)
     post_t = _posterior_given_corrupted(p, corruption)
@@ -314,7 +315,7 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption, slack: float =
     raw = _reweighted_by(p, corruption, post_t)
     keys = set(target) | set(raw)
     l1 = math.fsum(abs(target.get(k, 0.0) - raw.get(k, 0.0)) for k in keys)
-    return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + slack)
+    return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + BOUND_SLACK)
 
 
 def cond_indep_gap(p: JointTable, a: str, b: str, given) -> float:

@@ -20,6 +20,7 @@ from .corruptions import CorruptionSpec, Grid, SentencePair, TokenSeq, grid_rows
 from .errors import ConfigError
 from .exact import (
     BINARY_INPUTS,
+    BOUND_SLACK,
     FiniteCorruption,
     corruption_bound,
     cond_indep_gap,
@@ -178,7 +179,7 @@ def run_method(method: MethodSpec, dataset: Dataset, feature_spec: FeatureSpec,
         run = globals()[entry.routine]
         params = () if entry.param is None else (getattr(method, entry.param),)
         model, info = run(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
-                          *params, hidden, hidden, store=store)
+                          *params, hidden, store=store)
     model.feature_spec = feature_spec
     return model, info
 
@@ -601,7 +602,7 @@ def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
             failures += 1
             details.append(f"{fam.name} rho={rho:.3f}: {type(exc).__name__}")
             continue
-        margin = rep.moment * rep.epsilon + EXACT_TOL - rep.l1
+        margin = rep.moment * rep.epsilon + BOUND_SLACK - rep.l1
         worst_margin = max(worst_margin, -margin)
         if not rep.holds:
             failures += 1
@@ -780,8 +781,8 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
 def load_dataset(dir_path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.  A damaged file
     (missing or ill-typed meta keys, a payload or label table whose size
-    disagrees with the meta, an index column other than 0..n-1) raises
-    ConfigError."""
+    disagrees with the meta, non-finite vector values, an index column
+    other than 0..n-1) raises ConfigError."""
     meta_path = os.path.join(dir_path, "meta.json")
     with open(meta_path, "rb") as fh:
         meta = _json_object(fh.read(), meta_path)
@@ -822,6 +823,8 @@ def load_dataset(dir_path: str) -> Dataset:
     elif kind == "vector":
         dim = _field(meta, "dim", int, meta_path)
         arr = _payload(payload, "<f8", (n, dim), data_path)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{data_path} holds non-finite vector values")
         covs = [tuple(float(v) for v in row) for row in arr]
     else:
         raise ConfigError(f"{meta_path}: unknown kind {kind!r}")

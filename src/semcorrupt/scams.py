@@ -5,7 +5,8 @@ covariates (which can only pick up what survives the corruption, i.e. the
 nuisance side), then use it to reweight, upsample, factor out, or focus the
 main model, which always sees the original covariates.  At neutral settings
 (upsample factor 1, focus exponent 0) the routines reproduce plain ERM bit
-for bit because batch schedules depend only on (seed, epoch).
+for bit because batch schedules depend only on (seed, epoch).  A routine's
+main and auxiliary models both have ``hidden`` hidden units (0: linear).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import KINDS, CorruptionSpec, Grid, apply_all, apply_rows
+from .corruptions import KINDS, CorruptionSpec, apply_all, apply_rows, grid_shape
 from .errors import ConfigError, TrainingError
 from .families import Dataset
 from .rng import derive_seed
@@ -99,10 +100,10 @@ class FeatureStore:
                 self._draws[spec] = self._layout.window_buckets(self._layout.shuffled(spec))
             return _read_only(self._layout.counts(self._draws[spec]))
         if KINDS[spec.kind].batch is not None and self.feature_spec.kind == "flatten_grid":
-            shapes = {c.values.shape if isinstance(c, Grid) else None for c in covs}
-            if len(shapes) == 1 and None not in shapes:
+            shape = grid_shape(covs)
+            if shape is not None:
                 n = len(covs)
-                drawn = apply_rows(spec, self.clean().reshape(n, *shapes.pop()), np.arange(n))
+                drawn = apply_rows(spec, self.clean().reshape(n, *shape), np.arange(n))
                 return _read_only(drawn.reshape(n, -1))
         return _read_only(featurize(self.feature_spec, apply_all(spec, covs)))
 
@@ -152,15 +153,15 @@ class BiasedModel:
     corruption: CorruptionSpec
     feature_spec: FeatureSpec
     class_marginal: np.ndarray
-    clip: float = WEIGHT_CLIP
 
     def class_probs(self, dataset: Dataset, features: np.ndarray | None = None) -> np.ndarray:
         """p(label | corrupted covariate) per example, clipped into
-        [clip, 1 - clip] so downstream ratios stay bounded.  ``features``
-        are the dataset's corrupted features when the caller has them."""
+        [WEIGHT_CLIP, 1 - WEIGHT_CLIP] so downstream ratios stay bounded.
+        ``features`` are the dataset's corrupted features when the caller
+        has them."""
         if features is None:
             features = corrupted_features(dataset, self.corruption, self.feature_spec)
-        return np.clip(predict_proba(self.model, features), self.clip, 1.0 - self.clip)
+        return np.clip(predict_proba(self.model, features), WEIGHT_CLIP, 1.0 - WEIGHT_CLIP)
 
 
 def _fit_biased(store: FeatureStore, corruption: CorruptionSpec, X: np.ndarray,
@@ -212,8 +213,7 @@ def nurd_weights(biased: BiasedModel, dataset: Dataset,
 
 def run_nurd(dataset: Dataset, corruption: CorruptionSpec,
              feature_spec: FeatureSpec, cfg_main: TrainConfig,
-             cfg_biased: TrainConfig, hidden: int = 0,
-             hidden_biased: int = 0, store: FeatureStore | None = None):
+             cfg_biased: TrainConfig, hidden: int = 0, store: FeatureStore | None = None):
     """Reweighted ERM: the weights push the training distribution toward
     the one where label and nuisance are independent.  Weights are rescaled
     to mean one before training, which leaves the optimum untouched but
@@ -221,7 +221,7 @@ def run_nurd(dataset: Dataset, corruption: CorruptionSpec,
     biased model's epoch-0 draw is the one the weights are computed on."""
     store = feature_store(store, dataset, feature_spec)
     Xb = store.corrupted(corruption)
-    biased = _fit_biased(store, corruption, Xb, cfg_biased, hidden_biased)
+    biased = _fit_biased(store, corruption, Xb, cfg_biased, hidden)
     weights = nurd_weights(biased, dataset, Xb)
     del Xb
     X = store.clean()
@@ -248,7 +248,7 @@ def jtt_error_set(dataset: Dataset, corruption: CorruptionSpec,
 def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
             feature_spec: FeatureSpec, cfg_main: TrainConfig,
             cfg_id: TrainConfig, lambda_up: int, hidden: int = 0,
-            hidden_id: int = 0, store: FeatureStore | None = None):
+            store: FeatureStore | None = None):
     """Upsample the identification model's error set lambda_up times.
 
     The augmented set is every original in order followed by lambda_up - 1
@@ -258,8 +258,7 @@ def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
     if lambda_up < 1:
         raise ConfigError("lambda_up must be >= 1")
     store = feature_store(store, dataset, feature_spec)
-    errors, ident = jtt_error_set(dataset, corruption, feature_spec, cfg_id,
-                                  hidden_id, store)
+    errors, ident = jtt_error_set(dataset, corruption, feature_spec, cfg_id, hidden, store)
     X = store.clean()
     y = dataset.labels
     if lambda_up > 1 and len(errors):
@@ -273,8 +272,8 @@ def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
 
 def run_poe(dataset: Dataset, corruption: CorruptionSpec,
             feature_spec: FeatureSpec, cfg_main: TrainConfig,
-            cfg_biased: TrainConfig, hidden: int = 0, hidden_biased: int = 0,
-            freeze_biased: bool = False, store: FeatureStore | None = None):
+            cfg_biased: TrainConfig, hidden: int = 0, freeze_biased: bool = False,
+            store: FeatureStore | None = None):
     """Product of experts: main and corrupted-input heads are combined by
     renormalizing the product of their softmax outputs, and the CE of the
     combination trains both (or only the main head when the biased one is
@@ -284,8 +283,7 @@ def run_poe(dataset: Dataset, corruption: CorruptionSpec,
     Xb = store.corrupted(corruption)
     y = dataset.labels
     main = LinearModel(Xm.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden_biased,
-                         seed=cfg_biased.seed)
+    biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden, seed=cfg_biased.seed)
     epoch_features = store.epoch_features(corruption, Xb)
     if freeze_biased:
         train(biased, Xb, y, cfg_biased, features_for_epoch=epoch_features,
@@ -308,7 +306,7 @@ def run_poe(dataset: Dataset, corruption: CorruptionSpec,
 def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
             feature_spec: FeatureSpec, cfg_main: TrainConfig,
             cfg_biased: TrainConfig, gamma: float, hidden: int = 0,
-            hidden_biased: int = 0, store: FeatureStore | None = None):
+            store: FeatureStore | None = None):
     """Focus training: each batch first updates the corrupted-input model by
     plain CE, then weights the main CE by (1 - p_biased[label]) ** gamma
     with the biased output held constant.  gamma 0 reproduces ERM bit for
@@ -321,8 +319,7 @@ def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
     Xb = store.corrupted(corruption)
     y = dataset.labels
     main = LinearModel(Xm.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden_biased,
-                         seed=cfg_biased.seed)
+    biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden, seed=cfg_biased.seed)
     epoch_features = store.epoch_features(corruption, Xb)
 
     def step(Xb_e, idx):

@@ -6,6 +6,7 @@ be asserted directly; one subprocess test covers module invocation.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -232,6 +233,33 @@ class TestExitCodes:
         code = main(["train", "--in", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "m.bin"), "--seed", "0"])
         assert code == 3
+
+    # each request needs more than 2**47 bytes in one array, which numpy
+    # refuses before allocating anything
+    def test_oversized_generation_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen", "--task", "image", "--rho", "0.9", "--n", str(10**14),
+                     "--seed", "0", "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_hidden_width_exits_3(self, image_dir, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", image_dir, "--out", str(out), "--seed", "0",
+                     "--epochs", "1", "--hidden", str(10**14)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_class_count_exits_3(self, image_dir, tmp_path, capsys):
+        data = tmp_path / "img"
+        shutil.copytree(image_dir, data)
+        meta = json.loads((data / "meta.json").read_text())
+        (data / "meta.json").write_text(json.dumps(meta | {"n_classes": 10**14}))
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", str(data), "--out", str(out), "--seed", "0",
+                     "--epochs", "1"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,14 @@ Whatever the damage (a file cut short, a ``meta.json`` or model-header key
 deleted, a ``labels.csv`` row dropped), ``train``, ``eval`` and ``corrupt``
 must refuse with exit 2 (a bad file) or 3 (an unreadable one): never an
 uncaught exception, never exit 1, which is kept for failed verification,
-and never exit 0.
+and never exit 0.  Non-finite values in a vector payload are bad data
+(exit 2) too.
 """
 
 import json
+import math
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -95,3 +98,15 @@ def test_damaged_files_exit_2_or_3(saved, data):
             files.append(work / "model.bin")
         _damage(data.draw(st.sampled_from(files)), data)
         assert main(_commands(work, task)[command]) in (2, 3)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "corrupt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_vector_payload_exits_2(saved, tmp_path, capsys, command, value):
+    shutil.copytree(saved / "vector", tmp_path, dirs_exist_ok=True)
+    payload = tmp_path / "data" / "data.bin"
+    values = bytearray(payload.read_bytes())
+    values[8:16] = struct.pack("<d", value)
+    payload.write_bytes(bytes(values))
+    assert main(_commands(tmp_path, "vector")[command]) == 2
+    assert "non-finite" in capsys.readouterr().err

@@ -218,7 +218,7 @@ class TestRunNurd:
         cfg_aux = TrainConfig(epochs=40, batch_size=128, lr=0.1,
                               weight_decay=1e-4, seed=7)
         model, _ = run_nurd(ds, CorruptionSpec("coordinate_mask", 0), RAW,
-                            cfg_main, cfg_aux, hidden=8, hidden_biased=8)
+                            cfg_main, cfg_aux, hidden=8)
         fresh = sample_family(fam, 0.5, 20000, seed=141)
         X = featurize(RAW, fresh.covariates)
         ys = sorted(fam.y_support)
@@ -463,9 +463,9 @@ def test_in_place_step_keeps_the_flat_step_bits(monkeypatch, trainer, hidden):
             train(model, featurize(RAW, ds.covariates), ds.labels, cfg)
             return [model]
         if trainer == "poe":
-            model, info = run_poe(ds, noise, RAW, cfg, aux, hidden, hidden)
+            model, info = run_poe(ds, noise, RAW, cfg, aux, hidden)
         else:
-            model, info = run_dfl(ds, noise, RAW, cfg, aux, 2.0, hidden, hidden)
+            model, info = run_dfl(ds, noise, RAW, cfg, aux, 2.0, hidden)
         return [model, info["biased_model"]]
 
     in_place = fit()
