@@ -2,6 +2,7 @@
 corruption selection, theory-check reports, and serialization."""
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -711,6 +712,73 @@ class TestModelIO:
         path.write_bytes(b"\n".join([magic, header.encode(), params]))
         with pytest.raises(ConfigError, match="features|ngram|buckets|kind"):
             load_model(str(path))
+
+
+# sha256 of (parameter bytes, per-epoch losses, saved model file) of every
+# METHODS entry on tiny sets; the desk CSVs pin hidden 0 only
+METHOD_PINS = {
+    ("image", 0, "erm"):
+        "af8ea5784285e10e9819ba1f81c4d590c7aa2e5afc0513b5255d33811eac30e5",
+    ("image", 0, "nurd"):
+        "457a99438498d763b28205edaf2e2da41de683246c32e60aa852fad40eca3adf",
+    ("image", 0, "jtt"):
+        "fb131f1115f14219c418902367f50263e1097c4007d5a39c18d33391dce563db",
+    ("image", 0, "poe"):
+        "7388fa286ce3dc09e7a6b172e1b1adaa00e011abad219abaa6f8a84800980c3a",
+    ("image", 0, "dfl"):
+        "3f979788fe126a4487cf8cbbb2b43742c845b1a097723931ee4448d11f402319",
+    ("image", 5, "erm"):
+        "e82309d2f890159856a35b69e77adfac1f5a46684021ca6e0d2627797c6f6ca4",
+    ("image", 5, "nurd"):
+        "ab215551617e1e03e37089988c674cdaa0140bb35b9ddffb3326c1e6af86ebb8",
+    ("image", 5, "jtt"):
+        "3438a7e9fcbaf6150f99c8831e344fb56bd00c8a12539b812c734d64d9ecf66a",
+    ("image", 5, "poe"):
+        "bdfdd070e1ea03ca092703d7287ed12d48b11b97f775fa0d7eef2b40c2435d29",
+    ("image", 5, "dfl"):
+        "61b07b0f4507e801972a7a5f9ee2da2743a23ea2c4d01b1f6dd01deb3339f378",
+    ("nli", 0, "erm"):
+        "09f24f0d2034c0113a5ef7b13f4c87a5ea229b4234ff1bcd961ea9b0d7c985f7",
+    ("nli", 0, "nurd"):
+        "2f642c1057145898da23178d480ba5a329114c373ec8c098e4203d1f65d03ec6",
+    ("nli", 0, "jtt"):
+        "bef2495a1fb3376623d7c83cebf3eeea3c71bf99e40341fa9e7f001fdb6a23fc",
+    ("nli", 0, "poe"):
+        "8143612225efdea15d9ec14aa9ee3f2e2b07ca56e24fde3c5ecb79bb9b8904f3",
+    ("nli", 0, "dfl"):
+        "1ce6c45b6d0a5612184499547dd52c961dfadb6e5219eef7018994bcf2a080b4",
+    ("nli", 5, "erm"):
+        "b78395b801c278e89bc627cb2bf1d33f3d7f7da4ae4c999ec42adc0cbcc3edfb",
+    ("nli", 5, "nurd"):
+        "fc79eddef03d31d8736979ac8ddd0cc3f38e04f1dc9422eb72fd85f5f23627f7",
+    ("nli", 5, "jtt"):
+        "ea46235513bb2908e8de2916ec2eb6643ac536b22f8d1451c6760f086a7b7915",
+    ("nli", 5, "poe"):
+        "adfca136afcc2b30deee5100096c34b3155c5a8027060c0b1c01735b7b7a45e7",
+    ("nli", 5, "dfl"):
+        "b9102e1be0a269a36b6facab026b9ca01b1ffdbd7629ad9fff8a05c91f19269d",
+}
+
+
+class TestMethodPins:
+    @pytest.mark.parametrize("task,hidden,name", sorted(METHOD_PINS))
+    def test_trained_model_bits(self, tmp_path, task, hidden, name):
+        ds = generate_task(task, 0.9, 40, 3)
+        corruption = PR8 if task == "image" else NR1
+        method = MethodSpec(name, None if name == "erm" else corruption)
+        cfg_main = TrainConfig(epochs=2, batch_size=16, lr=0.1, weight_decay=1e-3)
+        cfg_aux = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1)
+        model, info = run_method(method, ds, default_feature_spec(task),
+                                 cfg_main, cfg_aux, hidden)
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.get_flat().tobytes() == model.get_flat().tobytes()
+        assert loaded.feature_spec == model.feature_spec
+        digest = hashlib.sha256(model.get_flat().tobytes())
+        digest.update(" ".join(map(float.hex, info["losses"])).encode())
+        digest.update(path.read_bytes())
+        assert digest.hexdigest() == METHOD_PINS[task, hidden, name]
 
 
 def assert_datasets_equal(got: Dataset, want: Dataset):
