@@ -274,14 +274,6 @@ def _binary(covariates: list, labels, nuis, provenance: dict) -> Dataset:
                    nuisances=nuis, groups=2 * labels + nuis, provenance=provenance)
 
 
-def _drawn(n: int, seed: int, draw: Callable, provenance: dict) -> Dataset:
-    """Binary-label dataset of n examples; example i is
-    ``draw(Stream(derive_seed(seed, i))) -> (covariate, y, z)``."""
-    rows = [draw(Stream(derive_seed(seed, i))) for i in range(n)]
-    return _binary([c for c, _y, _z in rows], [y for _c, y, _z in rows],
-                   [z for _c, _y, z in rows], provenance)
-
-
 # ---------------------------------------------------------------------------
 # image task
 
@@ -427,5 +419,8 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
         hyp = content + (NEG_TOKEN,) if z else content
         return SentencePair(TokenSeq(premise, MASK_ID), TokenSeq(hyp, MASK_ID)), y, z
 
-    return _drawn(n, seed, draw,
-                  {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})
+    # over an array, as the image task, so an oversized n fails at once
+    rows = [draw(Stream(derive_seed(seed, i))) for i in np.arange(n).tolist()]
+    return _binary([c for c, _y, _z in rows], [y for _c, y, _z in rows],
+                   [z for _c, _y, z in rows],
+                   {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from .families import (
     synthetic_nli_task,
     xor_sign_family,
 )
-from .learner import FeatureSpec, LinearModel, TrainConfig, featurize, predict, train
+from .learner import (FeatureSpec, LinearModel, TrainConfig, featurize, layer_widths,
+                      predict, train)
 from .rng import Stream, derive_seed
 from .scams import (
     FeatureStore,
@@ -694,8 +696,7 @@ def load_model(path: str) -> LinearModel:
         _field(header, key, int, f"model file {path}", low)
         for key, low in (("n_features", 1), ("n_classes", 2), ("hidden", 0))]
     # checked before building the model, whose size the header alone sets
-    widths = [n_features, hidden, n_classes] if hidden else [n_features, n_classes]
-    size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+    size = sum(a * b + b for a, b in pairwise(layer_widths(n_features, n_classes, hidden)))
     if len(payload) != 8 * size:
         raise ConfigError(f"model file {path} holds {len(payload) / 8:g} parameters, "
                           f"its header needs {size}")
@@ -703,7 +704,7 @@ def load_model(path: str) -> LinearModel:
     flat = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(flat)):
         raise ConfigError(f"model file {path} holds non-finite parameters")
-    model.set_flat(flat.astype(np.float64))
+    model.set_flat(flat)
     if "features" in header:
         model.feature_spec = _feature_spec(header["features"], f"model file {path}")
     return model

@@ -8,9 +8,10 @@ exactly to plain ERM at their neutral settings.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -123,14 +124,21 @@ def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
     return np.stack([np.asarray(c, dtype=np.float64).ravel() for c in covariates])
 
 
+def layer_widths(n_features: int, n_classes: int, hidden: int) -> list:
+    """The input width of every layer of a model, then its output width."""
+    return [n_features, hidden, n_classes] if hidden else [n_features, n_classes]
+
+
 class LinearModel:
     """Multinomial logistic regression, optionally with one tanh hidden layer.
 
-    The linear form starts at zero; the hidden form draws uniform
-    +-1/sqrt(fan_in) entries from a stream derived from ``seed``.  Flat
-    parameter order is W then b per layer.  ``feature_spec`` is the
-    featurization its inputs come from, when known; ``save_model`` records
-    it and ``semcorrupt eval`` featurizes with it.
+    A list of layers: layer k maps width k of :func:`layer_widths` to width
+    k + 1 through ``weights[k]`` and ``biases[k]``, and all but the last
+    through tanh.  The linear form starts at zero; the hidden form draws
+    uniform +-1/sqrt(fan_in) entries, layer by layer, from a stream derived
+    from ``seed``.  ``feature_spec`` is the featurization its inputs come
+    from, when known; ``save_model`` records it and ``semcorrupt eval``
+    featurizes with it.
     """
 
     feature_spec: FeatureSpec | None = None
@@ -143,60 +151,55 @@ class LinearModel:
         self.n_features = n_features
         self.n_classes = n_classes
         self.hidden = hidden
-        if hidden == 0:
-            self.weights = [np.zeros((n_features, n_classes))]
-            self.biases = [np.zeros(n_classes)]
-        else:
+        shapes = list(pairwise(layer_widths(n_features, n_classes, hidden)))
+        if hidden:
             stream = Stream(derive_seed(seed, _INIT_TAG))
-            w1 = (stream.uniforms(n_features * hidden) * 2.0 - 1.0) / math.sqrt(n_features)
-            w2 = (stream.uniforms(hidden * n_classes) * 2.0 - 1.0) / math.sqrt(hidden)
-            self.weights = [w1.reshape(n_features, hidden), w2.reshape(hidden, n_classes)]
-            self.biases = [np.zeros(hidden), np.zeros(n_classes)]
+            self.weights = [((stream.uniforms(a * b) * 2.0 - 1.0) / math.sqrt(a)).reshape(a, b)
+                            for a, b in shapes]
+        else:
+            self.weights = [np.zeros(shape) for shape in shapes]
+        self.biases = [np.zeros(b) for _, b in shapes]
+
+    @property
+    def params(self) -> list:
+        """The current weight and bias arrays in flat order, W then b per layer."""
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def forward(self, X: np.ndarray):
-        """Return (logits, hidden activations or None)."""
-        if self.hidden == 0:
-            return X @ self.weights[0] + self.biases[0], None
-        h = np.tanh(X @ self.weights[0] + self.biases[0])
-        return h @ self.weights[1] + self.biases[1], h
+        """Return (logits, the input of every layer, ``X`` first)."""
+        inputs = [X]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            inputs.append(np.tanh(inputs[-1] @ w + b))
+        return inputs[-1] @ self.weights[-1] + self.biases[-1], inputs
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return np.concatenate([p.ravel() for p in self.params])
+
+    def _slices(self, flat: np.ndarray):
+        """Each parameter array with its slice of ``flat``, shaped like it."""
+        at = 0
+        for p in self.params:
+            yield p, flat[at : at + p.size].reshape(p.shape)
+            at += p.size
 
     def set_flat(self, flat: np.ndarray) -> None:
-        at = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[at : at + w.size].reshape(w.shape).copy()
-            at += w.size
-            self.biases[i] = flat[at : at + b.size].reshape(b.shape).copy()
-            at += b.size
-        if at != flat.size:
+        """Copy ``flat`` into :attr:`params`; a wrong length changes nothing."""
+        if flat.size != sum(p.size for p in self.params):
             raise ValueError("flat vector has wrong length")
+        for p, part in self._slices(flat):
+            p[...] = part
 
     def descend(self, lr: float, grad: np.ndarray) -> None:
-        """One SGD step in place: each array of the current ``weights`` and
-        ``biases`` lists less ``lr`` times its slice of the flat gradient
-        (``get_flat`` order), the same IEEE operations as
+        """One SGD step in place, the same IEEE operations as
         ``set_flat(get_flat() - lr * grad)``."""
-        at = 0
-        for w, b in zip(self.weights, self.biases):
-            for p in (w, b):
-                p -= lr * grad[at : at + p.size].reshape(p.shape)
-                at += p.size
+        for p, part in self._slices(grad):
+            p -= lr * part
 
     def copy(self) -> "LinearModel":
-        dup = LinearModel.__new__(LinearModel)
-        dup.n_features = self.n_features
-        dup.n_classes = self.n_classes
-        dup.hidden = self.hidden
-        dup.feature_spec = self.feature_spec
+        dup = copy.copy(self)
         dup.weights = [w.copy() for w in self.weights]
         dup.biases = [b.copy() for b in self.biases]
         return dup
@@ -228,24 +231,19 @@ def _decay_penalty(model: LinearModel, weight_decay: float) -> float:
     return 0.5 * weight_decay * sum(float((w * w).sum()) for w in model.weights)
 
 
-def _backprop(model: LinearModel, X: np.ndarray, hidden_act, dlogits: np.ndarray,
+def _backprop(model: LinearModel, inputs: list, dout: np.ndarray,
               weight_decay: float) -> np.ndarray:
-    # decay applies to weight matrices only, never biases
-    if model.hidden == 0:
-        dw = X.T @ dlogits
+    # dout starts as the logits' gradient; decay applies to weights only
+    parts = []
+    for k in reversed(range(len(model.weights))):
+        a = inputs[k]
+        dw = a.T @ dout
         if weight_decay != 0.0:
-            dw = dw + weight_decay * model.weights[0]
-        return np.concatenate([dw.ravel(), dlogits.sum(axis=0)])
-    h = hidden_act
-    dw2 = h.T @ dlogits
-    dh = (dlogits @ model.weights[1].T) * (1.0 - h * h)
-    dw1 = X.T @ dh
-    if weight_decay != 0.0:
-        dw1 = dw1 + weight_decay * model.weights[0]
-        dw2 = dw2 + weight_decay * model.weights[1]
-    return np.concatenate(
-        [dw1.ravel(), dh.sum(axis=0), dw2.ravel(), dlogits.sum(axis=0)]
-    )
+            dw = dw + weight_decay * model.weights[k]
+        parts[:0] = [dw.ravel(), dout.sum(axis=0)]
+        if k:
+            dout = (dout @ model.weights[k].T) * (1.0 - a * a)
+    return np.concatenate(parts)
 
 
 def ce_loss_grad(model: LinearModel, X: np.ndarray, y: np.ndarray,
@@ -257,7 +255,7 @@ def ce_loss_grad(model: LinearModel, X: np.ndarray, y: np.ndarray,
     bits as no weights.
     """
     n = len(y)
-    logits, hidden_act = model.forward(X)
+    logits, inputs = model.forward(X)
     ls = log_softmax(logits)
     nll = -ls[np.arange(n), y]
     diff = np.exp(ls)
@@ -268,7 +266,7 @@ def ce_loss_grad(model: LinearModel, X: np.ndarray, y: np.ndarray,
         nll = sample_weights * nll
         diff = sample_weights[:, None] * diff
     loss = float(nll.sum()) / n + _decay_penalty(model, weight_decay)
-    grad = _backprop(model, X, hidden_act, diff / n, weight_decay)
+    grad = _backprop(model, inputs, diff / n, weight_decay)
     return loss, grad
 
 
@@ -282,8 +280,8 @@ def poe_loss_grad(main: LinearModel, biased: LinearModel,
     None).  Decay applies to the main model only.
     """
     n = len(y)
-    lm, hm = main.forward(X_main)
-    lb, hb = biased.forward(X_biased)
+    lm, inputs_main = main.forward(X_main)
+    lb, inputs_biased = biased.forward(X_biased)
     sm = log_softmax(lm)
     sb = log_softmax(lb)
     joint = log_softmax(sm + sb)
@@ -295,11 +293,11 @@ def poe_loss_grad(main: LinearModel, biased: LinearModel,
     # chain through each log-softmax: J^T v = v - softmax(l) * rowsum(v)
     row = ds.sum(axis=1, keepdims=True)
     d_lm = ds - softmax(lm) * row
-    grad_main = _backprop(main, X_main, hm, d_lm, weight_decay)
+    grad_main = _backprop(main, inputs_main, d_lm, weight_decay)
     grad_biased = None
     if update_biased:
         d_lb = ds - softmax(lb) * row
-        grad_biased = _backprop(biased, X_biased, hb, d_lb, 0.0)
+        grad_biased = _backprop(biased, inputs_biased, d_lb, 0.0)
     return loss, grad_main, grad_biased
 
 

@@ -236,9 +236,10 @@ class TestExitCodes:
 
     # each request needs more than 2**47 bytes in one array, which numpy
     # refuses before allocating anything
-    def test_oversized_generation_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("task", ["image", "nli"])
+    def test_oversized_generation_exits_3(self, tmp_path, capsys, task):
         out = tmp_path / "x"
-        assert main(["gen", "--task", "image", "--rho", "0.9", "--n", str(10**14),
+        assert main(["gen", "--task", task, "--rho", "0.9", "--n", str(10**14),
                      "--seed", "0", "--out", str(out)]) == 3
         assert "error:" in capsys.readouterr().err
         assert not out.exists()

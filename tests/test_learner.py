@@ -171,6 +171,23 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             model.set_flat(np.zeros(5))
 
+    @pytest.mark.parametrize("size", [5, 10])
+    def test_rejected_set_flat_changes_nothing(self, size):
+        model = random_linear(3, 2)
+        before = model.get_flat()
+        with pytest.raises(ValueError):
+            model.set_flat(np.zeros(size))
+        assert np.array_equal(model.get_flat(), before)
+
+    def test_set_flat_copies(self):
+        for hidden in (0, 5):
+            model = LinearModel(3, 2, hidden=hidden, seed=1)
+            flat = RNG.normal(size=model.get_flat().size)
+            want = flat.copy()
+            model.set_flat(flat)
+            flat += 1.0
+            assert np.array_equal(model.get_flat(), want)
+
     def test_copy_is_independent(self):
         model = random_linear(3, 2)
         dup = model.copy()
