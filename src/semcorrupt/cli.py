@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
 configuration (bad numbers, damaged dataset or model files, non-finite
 vector data), 3 runtime failure (diverged training, unreadable files,
 undefined reweighting, a request too large to allocate, a ``report``
-sweep with a failed (method, seed) cell).
+sweep with a failed (method, seed) cell).  An oversized count (``gen --n``,
+``--hidden``, a dataset's class count) is a bad number, exit 2, when numpy
+cannot index an array that large (about 10**30), and exit 3 when numpy can
+index it but the machine cannot hold it (about 10**14).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import replace
 
 from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
 from .errors import ConfigError, TrainingError, UndefinedWeightError
-from .families import Dataset
 from .harness import (
     METHODS,
     MethodSpec,
@@ -35,15 +37,22 @@ from .harness import (
 )
 from .learner import FeatureSpec, TrainConfig
 from .rng import derive_seed
+from .scams import FeatureStore
 
 
-def _infer_feature_spec(dataset: Dataset, ngram: int, buckets: int) -> FeatureSpec:
-    first = dataset.covariates[0]
+def _training_store(args) -> FeatureStore:
+    """The store of the ``--in`` dataset, with the features its covariates
+    take: flattened grids, bag-of-n-grams (``--ngram``, ``--buckets``) or
+    raw vectors."""
+    ds = load_dataset(args.src)
+    first = ds.covariates[0]
     if isinstance(first, Grid):
-        return FeatureSpec("flatten_grid")
-    if isinstance(first, SentencePair):
-        return FeatureSpec("bag_of_ngrams", ngram=ngram, buckets=buckets)
-    return FeatureSpec("raw_vector")
+        fs = FeatureSpec("flatten_grid")
+    elif isinstance(first, SentencePair):
+        fs = FeatureSpec("bag_of_ngrams", ngram=args.ngram, buckets=args.buckets)
+    else:
+        fs = FeatureSpec("raw_vector")
+    return FeatureStore(ds, fs)
 
 
 def _cmd_gen(args) -> int:
@@ -65,10 +74,9 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = load_dataset(args.src)
-    fs = _infer_feature_spec(ds, args.ngram, args.buckets)
+    store = _training_store(args)
     cfg = TrainConfig(args.epochs, args.batch, args.lr, args.wd, seed=args.seed)
-    model, info = run_method(MethodSpec("erm"), ds, fs, cfg, cfg, args.hidden)
+    model, info = run_method(MethodSpec("erm"), store, cfg, cfg, args.hidden)
     save_model(model, args.out)
     final = info["losses"][-1] if info["losses"] else float("nan")
     print(f"trained {args.epochs} epochs, final loss {final:.4f} -> {args.out}")
@@ -76,17 +84,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_scam(args) -> int:
-    ds = load_dataset(args.src)
-    fs = _infer_feature_spec(ds, args.ngram, args.buckets)
+    store = _training_store(args)
     corruption = CorruptionSpec(args.kind, args.param, args.corruption_seed)
     method = MethodSpec(args.method, corruption, lambda_up=args.lambda_up,
                         gamma=args.gamma)
     cfg_main = TrainConfig(args.epochs, args.batch, args.lr, args.wd, seed=args.seed)
     cfg_aux = TrainConfig(args.aux_epochs, args.batch, args.aux_lr, args.wd,
                           seed=derive_seed(args.seed, 11))
-    model, _ = run_method(method, ds, fs, cfg_main, cfg_aux, args.hidden)
+    model, _ = run_method(method, store, cfg_main, cfg_aux, args.hidden)
     save_model(model, args.out)
-    print(f"{method.label} trained on {len(ds)} examples -> {args.out}")
+    print(f"{method.label} trained on {len(store.dataset)} examples -> {args.out}")
     return 0
 
 

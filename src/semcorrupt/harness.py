@@ -42,7 +42,6 @@ from .learner import (FeatureSpec, LinearModel, TrainConfig, featurize, layer_wi
 from .rng import Stream, derive_seed
 from .scams import (
     FeatureStore,
-    feature_store,
     run_dfl,                       # the run_* routines are called by name
     run_jtt,                       # through METHODS
     run_nurd,
@@ -125,8 +124,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHODS:
             raise ConfigError(f"unknown method {self.name!r}")
-        if METHODS[self.name].routine is not None and self.corruption is None:
-            raise ConfigError(f"{self.name} needs a corruption")
+        needs = METHODS[self.name].routine is not None
+        if needs != (self.corruption is not None):
+            raise ConfigError(f"{self.name} {'needs a' if needs else 'takes no'} corruption")
 
     @property
     def label(self) -> str:
@@ -163,26 +163,23 @@ def default_feature_spec(task: str) -> FeatureSpec:
     raise ConfigError(f"unknown task {task!r}")
 
 
-def run_method(method: MethodSpec, dataset: Dataset, feature_spec: FeatureSpec,
-               cfg_main: TrainConfig, cfg_aux: TrainConfig, hidden: int = 0,
-               store: FeatureStore | None = None):
-    """Train one method on one dataset; returns ``(model, info)`` like the
-    ``run_*`` routines, with the main model's per-epoch losses in
-    ``info["losses"]`` and ``feature_spec`` recorded on the model.
-    ``store``, a :class:`FeatureStore` of this dataset and feature spec,
-    shares features and batch plans with other methods on it."""
-    store = feature_store(store, dataset, feature_spec)
+def run_method(method: MethodSpec, store: FeatureStore, cfg_main: TrainConfig,
+               cfg_aux: TrainConfig, hidden: int = 0):
+    """Train one method on the dataset of ``store``, a :class:`FeatureStore`
+    that shares features and batch plans with other methods on it; returns
+    ``(model, info)`` like the ``run_*`` routines, with the main model's
+    per-epoch losses in ``info["losses"]`` and the store's feature spec
+    recorded on the model."""
     entry = METHODS[method.name]
     if entry.routine is None:
         X = store.clean()
-        model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-        info = {"losses": train(model, X, dataset.labels, cfg_main, plan=store.plan)}
+        model = LinearModel(X.shape[1], store.dataset.n_classes, hidden, seed=cfg_main.seed)
+        info = {"losses": train(model, X, store.dataset.labels, cfg_main, plan=store.plan)}
     else:
         run = globals()[entry.routine]
         params = () if entry.param is None else (getattr(method, entry.param),)
-        model, info = run(dataset, method.corruption, feature_spec, cfg_main, cfg_aux,
-                          *params, hidden, store=store)
-    model.feature_spec = feature_spec
+        model, info = run(store, method.corruption, cfg_main, cfg_aux, *params, hidden)
+    model.feature_spec = store.feature_spec
     return model, info
 
 
@@ -201,21 +198,19 @@ def select_corruption_for(config: ExperimentConfig, method: MethodSpec,
     scheme = METHODS[method.name].scheme
     if scheme is None:
         raise ConfigError("corruption selection needs a corruption-driven method")
-    train_ds = generate_task(config.task, config.rho_train, config.n_train,
-                             derive_seed(seed, _SELECT_TRAIN_TAG))
+    store = FeatureStore(generate_task(config.task, config.rho_train, config.n_train,
+                                       derive_seed(seed, _SELECT_TRAIN_TAG)), config.feature)
     rho, n_val = {"balanced": (0.5, config.n_eval),
                   "challenge": (0.5, max(64, config.n_eval // 4)),
                   "iid": (config.rho_train, config.n_eval)}[scheme]
     val = generate_task(config.task, rho, n_val, derive_seed(seed, _SELECT_VAL_TAG))
     cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
     cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
-    store = FeatureStore(train_ds, config.feature)
     X_val = featurize(config.feature, val.covariates)
 
     def score(spec: CorruptionSpec) -> float:
         candidate = replace(method, corruption=spec)
-        model, _ = run_method(candidate, train_ds, config.feature, cfg_main,
-                              cfg_aux, config.hidden, store)
+        model, _ = run_method(candidate, store, cfg_main, cfg_aux, config.hidden)
         rec = score_features(model, X_val, val)
         if scheme == "iid" and rec.worst_group is not None:
             return rec.worst_group
@@ -313,20 +308,18 @@ def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
         raise ConfigError("an experiment needs at least one seed")
     outcomes = {m.label: MethodOutcome() for m in methods}
     for seed in config.seeds:
-        train_ds = generate_task(config.task, config.rho_train, config.n_train,
-                                 derive_seed(seed, 1))
-        store = FeatureStore(train_ds, config.feature)
+        store = FeatureStore(generate_task(config.task, config.rho_train, config.n_train,
+                                           derive_seed(seed, 1)), config.feature)
         cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
         cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
         models, records = {}, {}
         for m in methods:
             try:
-                models[m.label], _ = run_method(m, train_ds, config.feature, cfg_main,
-                                                cfg_aux, config.hidden, store)
+                models[m.label], _ = run_method(m, store, cfg_main, cfg_aux, config.hidden)
                 records[m.label] = {}
             except Exception as exc:   # record and move on
                 outcomes[m.label].errors.append((seed, f"{type(exc).__name__}: {exc}"))
-        del train_ds, store
+        del store
         for split in SPLITS:
             if not records:   # no model left to score
                 break

@@ -272,12 +272,12 @@ def ce_loss_grad(model: LinearModel, X: np.ndarray, y: np.ndarray,
 
 def poe_loss_grad(main: LinearModel, biased: LinearModel,
                   X_main: np.ndarray, X_biased: np.ndarray, y: np.ndarray,
-                  weight_decay: float = 0.0, update_biased: bool = True):
+                  weight_decay: float = 0.0):
     """Cross entropy of the renormalized product of the two softmax heads.
 
     The combined score is the sum of the two log-softmax outputs; the loss
-    is the CE of its softmax.  Returns (loss, main grad, biased grad or
-    None).  Decay applies to the main model only.
+    is the CE of its softmax.  Returns (loss, main grad, biased grad).
+    Decay applies to the main model only.
     """
     n = len(y)
     lm, inputs_main = main.forward(X_main)
@@ -293,12 +293,9 @@ def poe_loss_grad(main: LinearModel, biased: LinearModel,
     # chain through each log-softmax: J^T v = v - softmax(l) * rowsum(v)
     row = ds.sum(axis=1, keepdims=True)
     d_lm = ds - softmax(lm) * row
-    grad_main = _backprop(main, inputs_main, d_lm, weight_decay)
-    grad_biased = None
-    if update_biased:
-        d_lb = ds - softmax(lb) * row
-        grad_biased = _backprop(biased, inputs_biased, d_lb, 0.0)
-    return loss, grad_main, grad_biased
+    d_lb = ds - softmax(lb) * row
+    return (loss, _backprop(main, inputs_main, d_lm, weight_decay),
+            _backprop(biased, inputs_biased, d_lb, 0.0))
 
 
 def focus_weights(biased_probs: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:

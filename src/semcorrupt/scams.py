@@ -7,6 +7,8 @@ main model, which always sees the original covariates.  At neutral settings
 (upsample factor 1, focus exponent 0) the routines reproduce plain ERM bit
 for bit because batch schedules depend only on (seed, epoch).  A routine's
 main and auxiliary models both have ``hidden`` hidden units (0: linear).
+A :class:`FeatureStore` is the one way a dataset and its feature spec
+reach a routine: every routine takes it first.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class FeatureStore:
     * :meth:`plan`, each :func:`minibatch_plan`, its batches as views of
       one index array in the smallest unsigned dtype.
 
-    A ``run_*`` routine called without a store builds its own; a sweep
-    builds one per training set and passes it to every method."""
+    Every ``run_*`` routine takes a store; a sweep builds one per training
+    set and passes it to every method."""
 
     def __init__(self, dataset: Dataset, feature_spec: FeatureSpec):
         self.dataset = dataset
@@ -134,33 +136,18 @@ class FeatureStore:
         return self._plans[key]
 
 
-def feature_store(store, dataset: Dataset, feature_spec: FeatureSpec) -> FeatureStore:
-    """The store a routine given ``store`` uses: ``store`` itself, or a new
-    one when None; ConfigError when it was built for another dataset or
-    feature spec."""
-    if store is None:
-        return FeatureStore(dataset, feature_spec)
-    if store.dataset is not dataset or store.feature_spec != feature_spec:
-        raise ConfigError("the feature store was built for another dataset or feature spec")
-    return store
-
-
 @dataclass
 class BiasedModel:
     """Label predictor trained on corrupted covariates only."""
 
     model: LinearModel
     corruption: CorruptionSpec
-    feature_spec: FeatureSpec
     class_marginal: np.ndarray
 
-    def class_probs(self, dataset: Dataset, features: np.ndarray | None = None) -> np.ndarray:
-        """p(label | corrupted covariate) per example, clipped into
-        [WEIGHT_CLIP, 1 - WEIGHT_CLIP] so downstream ratios stay bounded.
-        ``features`` are the dataset's corrupted features when the caller
-        has them."""
-        if features is None:
-            features = corrupted_features(dataset, self.corruption, self.feature_spec)
+    def class_probs(self, features: np.ndarray) -> np.ndarray:
+        """p(label | corrupted covariate) per row of ``features``, the
+        corrupted features, clipped into [WEIGHT_CLIP, 1 - WEIGHT_CLIP] so
+        downstream ratios stay bounded."""
         return np.clip(predict_proba(self.model, features), WEIGHT_CLIP, 1.0 - WEIGHT_CLIP)
 
 
@@ -171,30 +158,26 @@ def _fit_biased(store: FeatureStore, corruption: CorruptionSpec, X: np.ndarray,
     train(model, X, dataset.labels, cfg,
           features_for_epoch=store.epoch_features(corruption, X), plan=store.plan)
     counts = np.bincount(dataset.labels, minlength=dataset.n_classes)
-    return BiasedModel(model, corruption, store.feature_spec, counts / len(dataset))
+    return BiasedModel(model, corruption, counts / len(dataset))
 
 
-def build_biased_model(dataset: Dataset, corruption: CorruptionSpec,
-                       feature_spec: FeatureSpec, cfg: TrainConfig,
-                       hidden: int = 0, store: FeatureStore | None = None) -> BiasedModel:
+def build_biased_model(store: FeatureStore, corruption: CorruptionSpec,
+                       cfg: TrainConfig, hidden: int = 0) -> BiasedModel:
     """Fit the auxiliary predictor on corrupted covariates.
 
     Stochastic corruptions are redrawn every epoch so the fit targets the
     noise-averaged relationship rather than one frozen draw; deterministic
     corruptions are computed once.
     """
-    store = feature_store(store, dataset, feature_spec)
     return _fit_biased(store, corruption, store.corrupted(corruption), cfg, hidden)
 
 
 WEIGHT_POSTERIOR_FLOOR = 0.05
 
 
-def nurd_weights(biased: BiasedModel, dataset: Dataset,
-                 features: np.ndarray | None = None) -> np.ndarray:
+def nurd_weights(biased: BiasedModel, dataset: Dataset, features: np.ndarray) -> np.ndarray:
     """Importance weights marginal(y) / p_biased(y | corrupted x), one
-    fixed corruption draw per example (``features``, when the caller has
-    it).
+    fixed corruption draw per example (``features``).
 
     The denominator posterior is truncated into
     [WEIGHT_POSTERIOR_FLOOR, 1 - WEIGHT_POSTERIOR_FLOOR] before dividing:
@@ -205,21 +188,20 @@ def nurd_weights(biased: BiasedModel, dataset: Dataset,
     posteriors milder than the floor untouched.  Softmax shift-invariance
     is unaffected, so weights remain invariant to rescaling the auxiliary
     model's unnormalized outputs."""
-    probs = biased.class_probs(dataset, features)
+    probs = biased.class_probs(features)
     probs = np.clip(probs, WEIGHT_POSTERIOR_FLOOR, 1.0 - WEIGHT_POSTERIOR_FLOOR)
     picked = probs[np.arange(len(dataset)), dataset.labels]
     return biased.class_marginal[dataset.labels] / picked
 
 
-def run_nurd(dataset: Dataset, corruption: CorruptionSpec,
-             feature_spec: FeatureSpec, cfg_main: TrainConfig,
-             cfg_biased: TrainConfig, hidden: int = 0, store: FeatureStore | None = None):
+def run_nurd(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConfig,
+             cfg_biased: TrainConfig, hidden: int = 0):
     """Reweighted ERM: the weights push the training distribution toward
     the one where label and nuisance are independent.  Weights are rescaled
     to mean one before training, which leaves the optimum untouched but
     keeps the effective learning rate comparable across corruptions.  The
     biased model's epoch-0 draw is the one the weights are computed on."""
-    store = feature_store(store, dataset, feature_spec)
+    dataset = store.dataset
     Xb = store.corrupted(corruption)
     biased = _fit_biased(store, corruption, Xb, cfg_biased, hidden)
     weights = nurd_weights(biased, dataset, Xb)
@@ -232,12 +214,11 @@ def run_nurd(dataset: Dataset, corruption: CorruptionSpec,
     return model, {"weights": weights, "biased": biased, "losses": losses}
 
 
-def jtt_error_set(dataset: Dataset, corruption: CorruptionSpec,
-                  feature_spec: FeatureSpec, cfg_id: TrainConfig,
-                  hidden: int = 0, store: FeatureStore | None = None):
+def jtt_error_set(store: FeatureStore, corruption: CorruptionSpec, cfg_id: TrainConfig,
+                  hidden: int = 0):
     """Indices the corrupted-input identification model gets wrong,
     ascending."""
-    store = feature_store(store, dataset, feature_spec)
+    dataset = store.dataset
     X = store.corrupted(corruption)
     ident = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_id.seed)
     train(ident, X, dataset.labels, cfg_id, plan=store.plan)
@@ -245,10 +226,8 @@ def jtt_error_set(dataset: Dataset, corruption: CorruptionSpec,
     return np.flatnonzero(wrong), ident
 
 
-def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
-            feature_spec: FeatureSpec, cfg_main: TrainConfig,
-            cfg_id: TrainConfig, lambda_up: int, hidden: int = 0,
-            store: FeatureStore | None = None):
+def run_jtt(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConfig,
+            cfg_id: TrainConfig, lambda_up: int, hidden: int = 0):
     """Upsample the identification model's error set lambda_up times.
 
     The augmented set is every original in order followed by lambda_up - 1
@@ -257,56 +236,55 @@ def run_jtt(dataset: Dataset, corruption: CorruptionSpec,
     """
     if lambda_up < 1:
         raise ConfigError("lambda_up must be >= 1")
-    store = feature_store(store, dataset, feature_spec)
-    errors, ident = jtt_error_set(dataset, corruption, feature_spec, cfg_id, hidden, store)
+    errors, ident = jtt_error_set(store, corruption, cfg_id, hidden)
     X = store.clean()
-    y = dataset.labels
+    y = store.dataset.labels
     if lambda_up > 1 and len(errors):
         extra = np.repeat(errors, lambda_up - 1)
         X = np.concatenate([X, X[extra]])
         y = np.concatenate([y, y[extra]])
-    model = LinearModel(X.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
+    model = LinearModel(X.shape[1], store.dataset.n_classes, hidden, seed=cfg_main.seed)
     losses = train(model, X, y, cfg_main, plan=store.plan)
     return model, {"error_set": errors, "id_model": ident, "losses": losses}
 
 
-def run_poe(dataset: Dataset, corruption: CorruptionSpec,
-            feature_spec: FeatureSpec, cfg_main: TrainConfig,
-            cfg_biased: TrainConfig, hidden: int = 0, freeze_biased: bool = False,
-            store: FeatureStore | None = None):
-    """Product of experts: main and corrupted-input heads are combined by
-    renormalizing the product of their softmax outputs, and the CE of the
-    combination trains both (or only the main head when the biased one is
-    pre-trained and frozen)."""
-    store = feature_store(store, dataset, feature_spec)
+def _fit_jointly(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConfig,
+                 cfg_biased: TrainConfig, hidden: int, step_for):
+    """The loop PoE and DFL share: a main model on the clean features and a
+    biased one on the corrupted features (redrawn each epoch when the
+    corruption is stochastic), trained together on the main model's batch
+    schedule by the :func:`sgd` step ``step_for(main, biased, Xm, y)``."""
     Xm = store.clean()
     Xb = store.corrupted(corruption)
-    y = dataset.labels
-    main = LinearModel(Xm.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden, seed=cfg_biased.seed)
-    epoch_features = store.epoch_features(corruption, Xb)
-    if freeze_biased:
-        train(biased, Xb, y, cfg_biased, features_for_epoch=epoch_features,
-              plan=store.plan)
-
-    def step(Xb_e, idx):
-        loss, g_main, g_biased = poe_loss_grad(
-            main, biased, Xm[idx], Xb_e[idx], y[idx],
-            weight_decay=cfg_main.weight_decay, update_biased=not freeze_biased)
-        main.descend(cfg_main.lr, g_main)
-        if g_biased is not None:
-            biased.descend(cfg_biased.lr, g_biased)
-        return loss
-
-    losses = sgd(cfg_main, Xb, step, epoch_features, store.plan)
+    n_classes = store.dataset.n_classes
+    main = LinearModel(Xm.shape[1], n_classes, hidden, seed=cfg_main.seed)
+    biased = LinearModel(Xb.shape[1], n_classes, hidden, seed=cfg_biased.seed)
+    step = step_for(main, biased, Xm, store.dataset.labels)
+    losses = sgd(cfg_main, Xb, step, store.epoch_features(corruption, Xb), store.plan)
     check_finite(main, biased)
     return main, {"biased_model": biased, "losses": losses}
 
 
-def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
-            feature_spec: FeatureSpec, cfg_main: TrainConfig,
-            cfg_biased: TrainConfig, gamma: float, hidden: int = 0,
-            store: FeatureStore | None = None):
+def run_poe(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConfig,
+            cfg_biased: TrainConfig, hidden: int = 0):
+    """Product of experts: main and corrupted-input heads are combined by
+    renormalizing the product of their softmax outputs, and the CE of the
+    combination trains both."""
+
+    def step_for(main, biased, Xm, y):
+        def step(Xb_e, idx):
+            loss, g_main, g_biased = poe_loss_grad(main, biased, Xm[idx], Xb_e[idx], y[idx],
+                                                   cfg_main.weight_decay)
+            main.descend(cfg_main.lr, g_main)
+            biased.descend(cfg_biased.lr, g_biased)
+            return loss
+        return step
+
+    return _fit_jointly(store, corruption, cfg_main, cfg_biased, hidden, step_for)
+
+
+def run_dfl(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConfig,
+            cfg_biased: TrainConfig, gamma: float, hidden: int = 0):
     """Focus training: each batch first updates the corrupted-input model by
     plain CE, then weights the main CE by (1 - p_biased[label]) ** gamma
     with the biased output held constant.  gamma 0 reproduces ERM bit for
@@ -314,29 +292,22 @@ def run_dfl(dataset: Dataset, corruption: CorruptionSpec,
     the main model's state."""
     if not 0.0 <= gamma < math.inf:
         raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
-    store = feature_store(store, dataset, feature_spec)
-    Xm = store.clean()
-    Xb = store.corrupted(corruption)
-    y = dataset.labels
-    main = LinearModel(Xm.shape[1], dataset.n_classes, hidden, seed=cfg_main.seed)
-    biased = LinearModel(Xb.shape[1], dataset.n_classes, hidden, seed=cfg_biased.seed)
-    epoch_features = store.epoch_features(corruption, Xb)
 
-    def step(Xb_e, idx):
-        b_loss, b_grad = ce_loss_grad(biased, Xb_e[idx], y[idx], None,
-                                      cfg_biased.weight_decay)
-        if not math.isfinite(b_loss):
-            raise TrainingError("non-finite biased loss")
-        biased.descend(cfg_biased.lr, b_grad)
-        probs = predict_proba(biased, Xb_e[idx])
-        loss, grad = dfl_loss_grad(main, probs, Xm[idx], y[idx], gamma,
-                                   cfg_main.weight_decay)
-        main.descend(cfg_main.lr, grad)
-        return loss
+    def step_for(main, biased, Xm, y):
+        def step(Xb_e, idx):
+            b_loss, b_grad = ce_loss_grad(biased, Xb_e[idx], y[idx], None,
+                                          cfg_biased.weight_decay)
+            if not math.isfinite(b_loss):
+                raise TrainingError("non-finite biased loss")
+            biased.descend(cfg_biased.lr, b_grad)
+            probs = predict_proba(biased, Xb_e[idx])
+            loss, grad = dfl_loss_grad(main, probs, Xm[idx], y[idx], gamma,
+                                       cfg_main.weight_decay)
+            main.descend(cfg_main.lr, grad)
+            return loss
+        return step
 
-    losses = sgd(cfg_main, Xb, step, epoch_features, store.plan)
-    check_finite(main, biased)
-    return main, {"biased_model": biased, "losses": losses}
+    return _fit_jointly(store, corruption, cfg_main, cfg_biased, hidden, step_for)
 
 
 def select_corruption(candidates, evaluate, include_identity: bool = True):

@@ -53,7 +53,7 @@ from semcorrupt.learner import (
     predict_proba,
     train,
 )
-from semcorrupt.scams import build_biased_model, run_dfl, run_jtt
+from semcorrupt.scams import FeatureStore, build_biased_model, run_dfl, run_jtt
 
 from reference import central_difference, max_relative_error
 
@@ -392,10 +392,10 @@ def test_c5_learner_numerics(capsys):
     X = featurize(fs, ds.covariates)
     erm = LinearModel(X.shape[1], ds.n_classes, 0, seed=cfg_main.seed)
     train(erm, X, ds.labels, cfg_main)
-    jtt_model, _ = run_jtt(ds, pr8, fs, cfg_main, cfg_aux, 1)
+    jtt_model, _ = run_jtt(FeatureStore(ds, fs), pr8, cfg_main, cfg_aux, 1)
     if not np.array_equal(jtt_model.get_flat(), erm.get_flat()):
         failures.append("upsampling with factor 1 is not bit-identical to plain training")
-    dfl_model, _ = run_dfl(ds, pr8, fs, cfg_main, cfg_aux, 0.0)
+    dfl_model, _ = run_dfl(FeatureStore(ds, fs), pr8, cfg_main, cfg_aux, 0.0)
     if not np.array_equal(dfl_model.get_flat(), erm.get_flat()):
         failures.append("focus exponent 0 is not bit-identical to plain training")
 
@@ -466,9 +466,10 @@ def test_c7_learned_versus_exact(capsys):
 
     ds = sample_family(fam, 0.8, 20000, 41)
     cfg = TrainConfig(epochs=120, batch_size=128, lr=0.1, weight_decay=0.0, seed=5)
-    biased = build_biased_model(ds, CorruptionSpec("coordinate_mask", 0),
-                                FeatureSpec("raw_vector"), cfg, hidden=8)
-    probs = biased.class_probs(ds)
+    store = FeatureStore(ds, FeatureSpec("raw_vector"))
+    masked = CorruptionSpec("coordinate_mask", 0)
+    biased = build_biased_model(store, masked, cfg, hidden=8)
+    probs = biased.class_probs(store.corrupted(masked))
     sup = 0.0
     for i, x in enumerate(ds.covariates):
         exact = post.at((0.0, x[1]))

@@ -235,7 +235,9 @@ class TestExitCodes:
         assert code == 3
 
     # each request needs more than 2**47 bytes in one array, which numpy
-    # refuses before allocating anything
+    # refuses before allocating anything; a count numpy can index but the
+    # machine cannot hold exits 3, and one numpy cannot index (10**30, the
+    # _exits_2 tests) is a bad number, exit 2
     @pytest.mark.parametrize("task", ["image", "nli"])
     def test_oversized_generation_exits_3(self, tmp_path, capsys, task):
         out = tmp_path / "x"
@@ -259,6 +261,32 @@ class TestExitCodes:
         out = tmp_path / "m.bin"
         assert main(["train", "--in", str(data), "--out", str(out), "--seed", "0",
                      "--epochs", "1"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["image", "nli"])
+    def test_unindexable_generation_exits_2(self, tmp_path, capsys, task):
+        out = tmp_path / "x"
+        assert main(["gen", "--task", task, "--rho", "0.9", "--n", str(10**30),
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unindexable_hidden_width_exits_2(self, image_dir, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", image_dir, "--out", str(out), "--seed", "0",
+                     "--epochs", "1", "--hidden", str(10**30)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unindexable_class_count_exits_2(self, image_dir, tmp_path, capsys):
+        data = tmp_path / "img"
+        shutil.copytree(image_dir, data)
+        meta = json.loads((data / "meta.json").read_text())
+        (data / "meta.json").write_text(json.dumps(meta | {"n_classes": 10**30}))
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", str(data), "--out", str(out), "--seed", "0",
+                     "--epochs", "1"]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 

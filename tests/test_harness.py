@@ -57,7 +57,7 @@ from semcorrupt.harness import (
 )
 from semcorrupt.learner import FeatureSpec, LinearModel, TrainConfig, featurize, minibatch_plan
 from semcorrupt.rng import derive_seed
-from semcorrupt.scams import FeatureStore, corrupted_features, run_nurd
+from semcorrupt.scams import FeatureStore, corrupted_features
 
 RAW = FeatureSpec("raw_vector")
 PR8 = CorruptionSpec("patch_randomize", 8, 7)
@@ -151,6 +151,11 @@ class TestMethodSpec:
             MethodSpec("nurd")
         MethodSpec("erm")  # fine without a corruption
 
+    def test_method_without_routine_takes_no_corruption(self):
+        # erm would train on the clean features and ignore the corruption
+        with pytest.raises(ConfigError, match="erm takes no corruption"):
+            MethodSpec("erm", PR8)
+
 
 class TestRunMethod:
     @pytest.mark.parametrize("method", [
@@ -161,7 +166,8 @@ class TestRunMethod:
         ds = synthetic_nli_task(0.9, 48, 5)
         cfg_main = TrainConfig(epochs=3, batch_size=16, lr=0.1)
         cfg_aux = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1)
-        model, info = run_method(method, ds, default_feature_spec("nli"), cfg_main, cfg_aux)
+        model, info = run_method(method, FeatureStore(ds, default_feature_spec("nli")),
+                                 cfg_main, cfg_aux)
         assert isinstance(model, LinearModel)
         assert len(info["losses"]) == cfg_main.epochs
         assert all(np.isfinite(info["losses"]))
@@ -175,7 +181,8 @@ class TestRunMethod:
         cfg_main = TrainConfig(epochs=2, batch_size=16, lr=0.1)
         cfg_aux = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1)
         method = MethodSpec(name, NR1)
-        want, _ = run_method(method, ds, default_feature_spec("nli"), cfg_main, cfg_aux)
+        store = FeatureStore(ds, default_feature_spec("nli"))
+        want, _ = run_method(method, store, cfg_main, cfg_aux)
         real = getattr(scams, f"run_{name}")
         calls = []
 
@@ -185,7 +192,7 @@ class TestRunMethod:
 
         for module in (scams, harness):
             monkeypatch.setattr(module, f"run_{name}", rebound)
-        got, _ = run_method(method, ds, default_feature_spec("nli"), cfg_main, cfg_aux)
+        got, _ = run_method(method, store, cfg_main, cfg_aux)
         assert calls == [name]
         assert got.get_flat().tobytes() == want.get_flat().tobytes()
 
@@ -307,7 +314,8 @@ class TestRunExperiment:
 
 def unshared_sweep(config, methods) -> ExperimentResult:
     """``run_experiment`` as a plain loop: every method regenerates every
-    split, trains with no feature store and evaluates each split itself."""
+    split, trains with a feature store of its own and evaluates each split
+    itself."""
     outcomes = {m.label: MethodOutcome() for m in methods}
     for seed in config.seeds:
         for m in methods:
@@ -324,8 +332,8 @@ def unshared_sweep(config, methods) -> ExperimentResult:
             cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
             cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
             try:
-                model, _ = harness.run_method(m, train_ds, config.feature, cfg_main,
-                                              cfg_aux, config.hidden)
+                model, _ = harness.run_method(m, FeatureStore(train_ds, config.feature),
+                                              cfg_main, cfg_aux, config.hidden)
                 rec = {split: evaluate(model, ds, config.feature)
                        for split, ds in evals.items()}
                 outcomes[m.label].per_seed.append((seed, rec))
@@ -423,7 +431,7 @@ class TestSharedWork:
         want = []
         for spec in [CorruptionSpec("identity"), *candidates]:
             model, _ = harness.run_method(
-                replace(method, corruption=spec), train_ds, config.feature,
+                replace(method, corruption=spec), FeatureStore(train_ds, config.feature),
                 replace(config.cfg_main, seed=derive_seed(4, 10)),
                 replace(config.cfg_aux, seed=derive_seed(4, 11)))
             value = getattr(evaluate(model, val, config.feature), metric)
@@ -465,19 +473,6 @@ class TestSharedWork:
             for arr in handed:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1
-
-    def test_store_of_another_dataset_rejected(self):
-        ds = generate_task("nli", 0.9, 20, 2)
-        store = FeatureStore(generate_task("nli", 0.9, 20, 3), default_feature_spec("nli"))
-        cfg = TrainConfig(epochs=1, batch_size=8, lr=0.1)
-        with pytest.raises(ConfigError, match="feature store"):
-            run_nurd(ds, NR1, default_feature_spec("nli"), cfg, cfg, store=store)
-        with pytest.raises(ConfigError, match="feature store"):
-            run_method(MethodSpec("erm"), ds, default_feature_spec("nli"), cfg, cfg,
-                       store=store)
-        with pytest.raises(ConfigError, match="feature store"):
-            run_method(MethodSpec("erm"), store.dataset,
-                       FeatureSpec("bag_of_ngrams", buckets=32), cfg, cfg, store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +763,7 @@ class TestMethodPins:
         method = MethodSpec(name, None if name == "erm" else corruption)
         cfg_main = TrainConfig(epochs=2, batch_size=16, lr=0.1, weight_decay=1e-3)
         cfg_aux = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=1)
-        model, info = run_method(method, ds, default_feature_spec(task),
+        model, info = run_method(method, FeatureStore(ds, default_feature_spec(task)),
                                  cfg_main, cfg_aux, hidden)
         path = tmp_path / "model.bin"
         save_model(model, str(path))

@@ -301,15 +301,6 @@ class TestPoELoss:
         assert loss_p == pytest.approx(loss_c, abs=1e-12)
         assert np.allclose(grad_main, grad_c, atol=1e-12)
 
-    def test_update_biased_flag(self):
-        main, biased = random_linear(3, 2), random_linear(2, 2)
-        X, Xb = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 2))
-        y = RNG.integers(0, 2, 4)
-        _, _, gb = poe_loss_grad(main, biased, X, Xb, y, update_biased=False)
-        assert gb is None
-        _, _, gb = poe_loss_grad(main, biased, X, Xb, y)
-        assert gb is not None and gb.size == biased.get_flat().size
-
     def test_decay_applies_to_main_only(self):
         main, biased = random_linear(3, 2), random_linear(2, 2)
         X, Xb = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 2))

@@ -27,6 +27,7 @@ from semcorrupt.rng import derive_seed
 from semcorrupt.scams import (
     WEIGHT_POSTERIOR_FLOOR,
     BiasedModel,
+    FeatureStore,
     build_biased_model,
     corrupted_features,
     jtt_error_set,
@@ -80,7 +81,7 @@ def image_train(image_cfg):
 @pytest.fixture(scope="module")
 def image_biased(image_cfg, image_train):
     aux = TrainConfig(epochs=30, batch_size=64, lr=0.1, weight_decay=1e-3, seed=3)
-    return build_biased_model(image_train, PR8, image_cfg.feature, aux)
+    return build_biased_model(FeatureStore(image_train, image_cfg.feature), PR8, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +105,16 @@ class TestCorruptedFeatures:
 class TestBiasedModel:
     def test_probs_are_clipped(self):
         ds = onehot_label_dataset()
-        biased = BiasedModel(posterior_model(80.0), IDENTITY, RAW,
+        biased = BiasedModel(posterior_model(80.0), IDENTITY,
                              np.array([0.5, 0.5]))
-        probs = biased.class_probs(ds)
+        probs = biased.class_probs(featurize(RAW, ds.covariates))
         assert probs.min() >= 1e-3
         assert probs.max() <= 1.0 - 1e-3
 
     def test_records_class_marginal(self):
         ds = balanced_vector_dataset(20)
         biased = build_biased_model(
-            ds, IDENTITY, RAW, TrainConfig(epochs=0, batch_size=8, lr=0.1))
+            FeatureStore(ds, RAW), IDENTITY, TrainConfig(epochs=0, batch_size=8, lr=0.1))
         assert np.array_equal(biased.class_marginal, [0.5, 0.5])
 
     def test_corrupted_input_model_is_a_nuisance_predictor(
@@ -140,50 +141,52 @@ class TestNurdWeights:
     def test_untrained_model_on_balanced_data_gives_unit_weights(self):
         ds = balanced_vector_dataset()
         biased = build_biased_model(
-            ds, IDENTITY, RAW, TrainConfig(epochs=0, batch_size=8, lr=0.1))
-        w = nurd_weights(biased, ds)
+            FeatureStore(ds, RAW), IDENTITY, TrainConfig(epochs=0, batch_size=8, lr=0.1))
+        w = nurd_weights(biased, ds, featurize(RAW, ds.covariates))
         assert np.all(w == 1.0)
 
     def test_exact_ratio_for_hand_built_posterior(self):
         ds = onehot_label_dataset()
-        biased = BiasedModel(posterior_model(math.log(9.0)), IDENTITY, RAW,
+        biased = BiasedModel(posterior_model(math.log(9.0)), IDENTITY,
                              np.array([0.5, 0.5]))
-        w = nurd_weights(biased, ds)
+        w = nurd_weights(biased, ds, featurize(RAW, ds.covariates))
         # posterior for the true class is 0.9 on every example
         assert np.allclose(w, 0.5 / 0.9, atol=1e-12)
 
     def test_minority_posterior_inverts_to_large_weight(self):
         cov = [(1.0, 0.0), (1.0, 0.0)]
         ds = Dataset(covariates=cov, labels=np.array([0, 1]), n_classes=2)
-        biased = BiasedModel(posterior_model(math.log(9.0)), IDENTITY, RAW,
+        biased = BiasedModel(posterior_model(math.log(9.0)), IDENTITY,
                              np.array([0.5, 0.5]))
-        w = nurd_weights(biased, ds)
+        w = nurd_weights(biased, ds, featurize(RAW, ds.covariates))
         assert w[0] == pytest.approx(0.5 / 0.9, abs=1e-12)
         assert w[1] == pytest.approx(0.5 / 0.1, rel=1e-10)
 
     def test_posterior_floor_bounds_weights(self):
         ds = onehot_label_dataset()
-        biased = BiasedModel(posterior_model(math.log(999.0)), IDENTITY, RAW,
+        biased = BiasedModel(posterior_model(math.log(999.0)), IDENTITY,
                              np.array([0.5, 0.5]))
-        w = nurd_weights(biased, ds)
+        w = nurd_weights(biased, ds, featurize(RAW, ds.covariates))
         # raw posterior 0.999 truncates to 1 - floor
         assert np.allclose(w, 0.5 / (1.0 - WEIGHT_POSTERIOR_FLOOR), atol=1e-12)
         flipped = Dataset(covariates=ds.covariates,
                           labels=1 - ds.labels, n_classes=2)
-        w = nurd_weights(biased, flipped)
+        w = nurd_weights(biased, flipped, featurize(RAW, ds.covariates))
         assert np.allclose(w, 0.5 / WEIGHT_POSTERIOR_FLOOR, atol=1e-9)
 
-    def test_invariant_to_logit_shift(self, image_biased, image_train):
-        w_before = nurd_weights(image_biased, image_train)
+    def test_invariant_to_logit_shift(self, image_cfg, image_biased, image_train):
+        Xb = corrupted_features(image_train, PR8, image_cfg.feature)
+        w_before = nurd_weights(image_biased, image_train, Xb)
         shifted = BiasedModel(image_biased.model.copy(), image_biased.corruption,
-                              image_biased.feature_spec, image_biased.class_marginal)
+                              image_biased.class_marginal)
         shifted.model.biases[-1] = shifted.model.biases[-1] + 3.7
-        w_after = nurd_weights(shifted, image_train)
+        w_after = nurd_weights(shifted, image_train, Xb)
         assert np.allclose(w_before, w_after, atol=1e-10)
 
-    def test_minority_examples_carry_the_large_weights(self, image_train,
+    def test_minority_examples_carry_the_large_weights(self, image_cfg, image_train,
                                                        image_biased):
-        w = nurd_weights(image_biased, image_train)
+        w = nurd_weights(image_biased, image_train,
+                         corrupted_features(image_train, PR8, image_cfg.feature))
         minority = image_train.labels != image_train.nuisances
         assert w[minority].mean() > 2.0 * w[~minority].mean()
         # and the reweighted texture-label agreement is near balance
@@ -200,7 +203,7 @@ class TestRunNurd:
         ds = balanced_vector_dataset()
         cfg_main = TrainConfig(epochs=15, batch_size=8, lr=0.3, seed=4)
         cfg_aux = TrainConfig(epochs=0, batch_size=8, lr=0.1, seed=5)
-        model, info = run_nurd(ds, IDENTITY, RAW, cfg_main, cfg_aux)
+        model, info = run_nurd(FeatureStore(ds, RAW), IDENTITY, cfg_main, cfg_aux)
         assert np.all(info["weights"] == 1.0)
         erm = LinearModel(3, 2, seed=cfg_main.seed)
         train(erm, featurize(RAW, ds.covariates), ds.labels, cfg_main)
@@ -217,7 +220,7 @@ class TestRunNurd:
                                weight_decay=1e-4, seed=6)
         cfg_aux = TrainConfig(epochs=40, batch_size=128, lr=0.1,
                               weight_decay=1e-4, seed=7)
-        model, _ = run_nurd(ds, CorruptionSpec("coordinate_mask", 0), RAW,
+        model, _ = run_nurd(FeatureStore(ds, RAW), CorruptionSpec("coordinate_mask", 0),
                             cfg_main, cfg_aux, hidden=8)
         fresh = sample_family(fam, 0.5, 20000, seed=141)
         X = featurize(RAW, fresh.covariates)
@@ -235,21 +238,21 @@ class TestJtt:
     def test_perfect_identifier_yields_empty_error_set(self):
         ds = balanced_vector_dataset()
         cfg = TrainConfig(epochs=100, batch_size=8, lr=0.5, seed=2)
-        errors, ident = jtt_error_set(ds, IDENTITY, RAW, cfg)
+        errors, ident = jtt_error_set(FeatureStore(ds, RAW), IDENTITY, cfg)
         assert errors.size == 0
         X = featurize(RAW, ds.covariates)
         assert float(np.mean(predict(ident, X) == ds.labels)) == 1.0
 
     def test_error_set_is_deterministic(self, image_cfg, image_train):
         cfg = TrainConfig(epochs=10, batch_size=64, lr=0.1, seed=3)
-        a, _ = jtt_error_set(image_train, PR8, image_cfg.feature, cfg)
-        b, _ = jtt_error_set(image_train, PR8, image_cfg.feature, cfg)
+        a, _ = jtt_error_set(FeatureStore(image_train, image_cfg.feature), PR8, cfg)
+        b, _ = jtt_error_set(FeatureStore(image_train, image_cfg.feature), PR8, cfg)
         assert np.array_equal(a, b)
 
     def test_error_set_is_the_minority_groups(self, image_cfg, image_train):
         cfg = TrainConfig(epochs=30, batch_size=64, lr=0.1, weight_decay=1e-3,
                           seed=3)
-        errors, _ = jtt_error_set(image_train, PR8, image_cfg.feature, cfg)
+        errors, _ = jtt_error_set(FeatureStore(image_train, image_cfg.feature), PR8, cfg)
         minority = image_train.labels != image_train.nuisances
         assert 0.05 * len(image_train) <= errors.size <= 0.15 * len(image_train)
         assert minority[errors].mean() >= 0.8
@@ -259,7 +262,7 @@ class TestJtt:
         ds = balanced_vector_dataset()
         cfg_main = TrainConfig(epochs=12, batch_size=8, lr=0.3, seed=4)
         cfg_id = TrainConfig(epochs=2, batch_size=8, lr=0.05, seed=5)
-        model, info = run_jtt(ds, IDENTITY, RAW, cfg_main, cfg_id, lambda_up=1)
+        model, info = run_jtt(FeatureStore(ds, RAW), IDENTITY, cfg_main, cfg_id, lambda_up=1)
         erm = LinearModel(3, 2, seed=cfg_main.seed)
         train(erm, featurize(RAW, ds.covariates), ds.labels, cfg_main)
         assert np.array_equal(model.get_flat(), erm.get_flat())
@@ -268,7 +271,7 @@ class TestJtt:
         ds = balanced_vector_dataset()
         cfg_main = TrainConfig(epochs=12, batch_size=8, lr=0.3, seed=4)
         cfg_id = TrainConfig(epochs=100, batch_size=8, lr=0.5, seed=2)
-        model, info = run_jtt(ds, IDENTITY, RAW, cfg_main, cfg_id, lambda_up=6)
+        model, info = run_jtt(FeatureStore(ds, RAW), IDENTITY, cfg_main, cfg_id, lambda_up=6)
         assert info["error_set"].size == 0
         erm = LinearModel(3, 2, seed=cfg_main.seed)
         train(erm, featurize(RAW, ds.covariates), ds.labels, cfg_main)
@@ -277,7 +280,7 @@ class TestJtt:
     def test_upsampling_matches_manual_augmentation(self, image_cfg, image_train):
         cfg_main = TrainConfig(epochs=3, batch_size=64, lr=0.05, seed=8)
         cfg_id = TrainConfig(epochs=10, batch_size=64, lr=0.1, seed=9)
-        model, info = run_jtt(image_train, PR8, image_cfg.feature, cfg_main,
+        model, info = run_jtt(FeatureStore(image_train, image_cfg.feature), PR8, cfg_main,
                               cfg_id, lambda_up=3)
         errors = info["error_set"]
         assert errors.size > 0
@@ -294,7 +297,7 @@ class TestJtt:
         ds = balanced_vector_dataset()
         cfg = TrainConfig(epochs=1, batch_size=8, lr=0.1)
         with pytest.raises(ConfigError):
-            run_jtt(ds, IDENTITY, RAW, cfg, cfg, lambda_up=0)
+            run_jtt(FeatureStore(ds, RAW), IDENTITY, cfg, cfg, lambda_up=0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +305,10 @@ class TestJtt:
 
 
 class TestRunPoe:
-    def test_frozen_uniform_biased_head_approximates_erm(self):
-        ds = balanced_vector_dataset()
-        cfg_main = TrainConfig(epochs=5, batch_size=8, lr=0.2, seed=4)
-        cfg_aux = TrainConfig(epochs=0, batch_size=8, lr=0.1, seed=5)
-        model, info = run_poe(ds, IDENTITY, RAW, cfg_main, cfg_aux,
-                              freeze_biased=True)
-        assert np.array_equal(info["biased_model"].get_flat(),
-                              np.zeros(info["biased_model"].get_flat().size))
-        erm = LinearModel(3, 2, seed=cfg_main.seed)
-        train(erm, featurize(RAW, ds.covariates), ds.labels, cfg_main)
-        assert np.allclose(model.get_flat(), erm.get_flat(), atol=1e-8)
-
     def test_joint_training_moves_both_heads(self):
         ds = balanced_vector_dataset()
         cfg = TrainConfig(epochs=5, batch_size=8, lr=0.2, seed=4)
-        model, info = run_poe(ds, IDENTITY, RAW, cfg, cfg)
+        model, info = run_poe(FeatureStore(ds, RAW), IDENTITY, cfg, cfg)
         assert len(info["losses"]) == 5
         assert info["losses"][-1] < info["losses"][0]
         assert np.any(info["biased_model"].get_flat() != 0.0)
@@ -329,7 +320,7 @@ class TestRunDfl:
         ds = balanced_vector_dataset()
         cfg_main = TrainConfig(epochs=10, batch_size=8, lr=0.3, seed=4)
         cfg_aux = TrainConfig(epochs=10, batch_size=8, lr=0.1, seed=5)
-        model, _ = run_dfl(ds, IDENTITY, RAW, cfg_main, cfg_aux, gamma=0.0)
+        model, _ = run_dfl(FeatureStore(ds, RAW), IDENTITY, cfg_main, cfg_aux, gamma=0.0)
         erm = LinearModel(3, 2, seed=cfg_main.seed)
         train(erm, featurize(RAW, ds.covariates), ds.labels, cfg_main)
         assert np.array_equal(model.get_flat(), erm.get_flat())
@@ -338,7 +329,7 @@ class TestRunDfl:
         ds = synthetic_image_task(0.9, 200, derive_seed(2, 1))
         cfg_main = TrainConfig(epochs=3, batch_size=64, lr=0.05, seed=6)
         cfg_aux = TrainConfig(epochs=3, batch_size=64, lr=0.05, seed=7)
-        model, _ = run_dfl(ds, PR8, image_cfg.feature, cfg_main, cfg_aux,
+        model, _ = run_dfl(FeatureStore(ds, image_cfg.feature), PR8, cfg_main, cfg_aux,
                            gamma=0.0)
         X = featurize(image_cfg.feature, ds.covariates)
         erm = LinearModel(X.shape[1], 2, seed=cfg_main.seed)
@@ -349,13 +340,13 @@ class TestRunDfl:
         ds = balanced_vector_dataset()
         cfg = TrainConfig(epochs=1, batch_size=8, lr=0.1)
         with pytest.raises(ConfigError):
-            run_dfl(ds, IDENTITY, RAW, cfg, cfg, gamma=-1.0)
+            run_dfl(FeatureStore(ds, RAW), IDENTITY, cfg, cfg, gamma=-1.0)
 
     def test_focus_departs_from_erm(self):
         ds = balanced_vector_dataset()
         cfg_main = TrainConfig(epochs=10, batch_size=8, lr=0.3, seed=4)
         cfg_aux = TrainConfig(epochs=10, batch_size=8, lr=0.3, seed=5)
-        model, _ = run_dfl(ds, IDENTITY, RAW, cfg_main, cfg_aux, gamma=2.0)
+        model, _ = run_dfl(FeatureStore(ds, RAW), IDENTITY, cfg_main, cfg_aux, gamma=2.0)
         erm = LinearModel(3, 2, seed=cfg_main.seed)
         train(erm, featurize(RAW, ds.covariates), ds.labels, cfg_main)
         assert not np.array_equal(model.get_flat(), erm.get_flat())
@@ -425,15 +416,14 @@ class TestNoHarm:
             train(erm, Xtr, tr.labels, cfg_main)
             base = float(np.mean(predict(erm, Xte) == te.labels))
             outs = {}
-            m, _ = run_nurd(tr, IDENTITY, image_cfg.feature, cfg_main, cfg_aux)
+            store = FeatureStore(tr, image_cfg.feature)
+            m, _ = run_nurd(store, IDENTITY, cfg_main, cfg_aux)
             outs["reweight"] = m
-            m, _ = run_jtt(tr, IDENTITY, image_cfg.feature, cfg_main, cfg_aux,
-                           lambda_up=6)
+            m, _ = run_jtt(store, IDENTITY, cfg_main, cfg_aux, lambda_up=6)
             outs["upsample"] = m
-            m, _ = run_poe(tr, IDENTITY, image_cfg.feature, cfg_main, cfg_aux)
+            m, _ = run_poe(store, IDENTITY, cfg_main, cfg_aux)
             outs["product"] = m
-            m, _ = run_dfl(tr, IDENTITY, image_cfg.feature, cfg_main, cfg_aux,
-                           gamma=2.0)
+            m, _ = run_dfl(store, IDENTITY, cfg_main, cfg_aux, gamma=2.0)
             outs["focus"] = m
             for name, model in outs.items():
                 acc = float(np.mean(predict(model, Xte) == te.labels))
@@ -463,9 +453,9 @@ def test_in_place_step_keeps_the_flat_step_bits(monkeypatch, trainer, hidden):
             train(model, featurize(RAW, ds.covariates), ds.labels, cfg)
             return [model]
         if trainer == "poe":
-            model, info = run_poe(ds, noise, RAW, cfg, aux, hidden)
+            model, info = run_poe(FeatureStore(ds, RAW), noise, cfg, aux, hidden)
         else:
-            model, info = run_dfl(ds, noise, RAW, cfg, aux, 2.0, hidden)
+            model, info = run_dfl(FeatureStore(ds, RAW), noise, cfg, aux, 2.0, hidden)
         return [model, info["biased_model"]]
 
     in_place = fit()
