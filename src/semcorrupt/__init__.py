@@ -43,7 +43,6 @@ from .families import (
     DiscreteFamily,
     flip_noise_family,
     negated_coordinate_family,
-    nli_label,
     sample_family,
     synthetic_image_task,
     synthetic_nli_task,

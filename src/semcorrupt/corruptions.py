@@ -45,21 +45,6 @@ class Grid:
         arr.flags.writeable = False
         self.values = arr
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-    def __repr__(self):
-        return f"Grid({self.height}x{self.width}x{self.channels})"
-
 
 @dataclass(frozen=True)
 class TokenSeq:
@@ -321,31 +306,18 @@ def gauss_noise(grid: Grid, variance: float, seed: int) -> Grid:
 # ---------------------------------------------------------------------------
 # text corruptions
 
-def token_segments(covariates, last_only: bool = False) -> tuple:
-    """The token sequences of token covariates, example by example.
-
-    A lone TokenSeq gives one segment, a SentencePair its premise then its
-    hypothesis (the hypothesis alone with ``last_only``).  Returns the
-    segments' token tuples, the example index of each and the sub-seed tag
-    ``apply`` gives it (0 premise or lone sequence, 1 hypothesis).
+def token_segments(covariates) -> tuple:
+    """The sentences of sentence-pair covariates, example by example: each
+    pair's premise then its hypothesis.  Returns the sentences' token
+    tuples, the example index of each and the sub-seed tag ``apply`` gives
+    it (0 premise, 1 hypothesis).
     """
-    seqs, rows, tags = [], [], []
-    for i, cov in enumerate(covariates):
-        if isinstance(cov, SentencePair):
-            if not last_only:
-                seqs.append(cov.premise.tokens)
-                rows.append(i)
-                tags.append(0)
-            seqs.append(cov.hypothesis.tokens)
-            rows.append(i)
-            tags.append(1)
-        elif isinstance(cov, TokenSeq):
-            seqs.append(cov.tokens)
-            rows.append(i)
-            tags.append(0)
-        else:
-            raise DispatchError(f"expected a SentencePair or TokenSeq, got {type(cov).__name__}")
-    return seqs, np.array(rows, dtype=np.int64), np.array(tags, dtype=np.int64)
+    bad = [type(cov).__name__ for cov in covariates if not isinstance(cov, SentencePair)]
+    if bad:
+        raise DispatchError(f"expected a SentencePair, got {bad[0]}")
+    seqs = [seq.tokens for cov in covariates for seq in (cov.premise, cov.hypothesis)]
+    rows = np.repeat(np.arange(len(covariates), dtype=np.int64), 2)
+    return seqs, rows, np.tile(np.array([0, 1], dtype=np.int64), len(covariates))
 
 
 def segment_seeds(seed: int, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -447,13 +419,11 @@ def coordinate_mask(vector: tuple, index: int) -> tuple:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _shuffle_sentences(cov, n: int, seed: int):
-    """``ngram_randomize`` each sentence with sub-seed ``derive_seed(seed, 0)``
-    (premise or lone TokenSeq) or ``derive_seed(seed, 1)`` (hypothesis)."""
-    if isinstance(cov, TokenSeq):
-        return ngram_randomize(cov, n, derive_seed(seed, 0))
-    return SentencePair(ngram_randomize(cov.premise, n, derive_seed(seed, 0)),
-                        ngram_randomize(cov.hypothesis, n, derive_seed(seed, 1)))
+def _shuffle_sentences(pair: SentencePair, n: int, seed: int) -> SentencePair:
+    """``ngram_randomize`` each sentence of a pair with sub-seed
+    ``derive_seed(seed, 0)`` (premise) or ``derive_seed(seed, 1)`` (hypothesis)."""
+    return SentencePair(ngram_randomize(pair.premise, n, derive_seed(seed, 0)),
+                        ngram_randomize(pair.hypothesis, n, derive_seed(seed, 1)))
 
 
 @dataclass(frozen=True)
@@ -497,7 +467,7 @@ KINDS = {
     "gauss_noise": Kind("noise", lambda p: float(p) >= 0.0, (Grid,), True,
                         lambda c, p, s: gauss_noise(c, float(p), s),
                         lambda v, p, s: gauss_noise_rows(v, float(p), s)),
-    "ngram_randomize": Kind("nr", _whole(1), (SentencePair, TokenSeq), True,
+    "ngram_randomize": Kind("nr", _whole(1), (SentencePair,), True,
                             lambda c, p, s: _shuffle_sentences(c, int(p), s)),
     "premise_mask": Kind("pm", None, (SentencePair,), False,
                          lambda c, p, s: premise_mask(c)),
@@ -565,9 +535,10 @@ def grid_shape(covariates) -> tuple | None:
 
 def apply_all(spec: CorruptionSpec, covariates) -> list:
     """``apply`` to every covariate, with its list position as example
-    index.  N-gram shuffles run as one :func:`ngram_source` batch, and a
-    grid kind with a batch kernel on Grids of one shape as one kernel call;
-    anything else runs example by example, which gives the same bits."""
+    index.  N-gram shuffles of sentence pairs run as one
+    :func:`ngram_source` batch, and a grid kind with a batch kernel on
+    Grids of one shape as one kernel call; anything else runs example by
+    example, which gives the same bits."""
     covariates = list(covariates)
     if KINDS[spec.kind].batch is not None and grid_shape(covariates) is not None:
         drawn = apply_rows(spec, np.stack([c.values for c in covariates]),
@@ -580,12 +551,6 @@ def apply_all(spec: CorruptionSpec, covariates) -> list:
     src = ngram_source([len(seq) for seq in seqs], int(spec.param),
                        segment_seeds(spec.seed, rows, tags))
     shuffled = iter([flat[i] for i in src.tolist()])
-    parts = (tuple(islice(shuffled, len(seq))) for seq in seqs)
-    out = []
-    for cov in covariates:
-        if isinstance(cov, SentencePair):
-            out.append(SentencePair(TokenSeq(next(parts), cov.premise.mask_id),
-                                    TokenSeq(next(parts), cov.hypothesis.mask_id)))
-        else:
-            out.append(TokenSeq(next(parts), cov.mask_id))
-    return out
+    return [SentencePair(TokenSeq(tuple(islice(shuffled, len(p.premise))), p.premise.mask_id),
+                         TokenSeq(tuple(islice(shuffled, len(p.hypothesis))), p.hypothesis.mask_id))
+            for p in covariates]

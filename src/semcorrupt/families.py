@@ -370,25 +370,6 @@ NEG_TOKEN = CONTENT_VOCAB + 1
 PREMISE_LEN = 6
 
 
-def ordered_subsequence(needle: tuple, hay: tuple) -> bool:
-    """True when ``needle`` appears in ``hay`` in order (not necessarily
-    contiguously)."""
-    pos = 0
-    for tok in hay:
-        if pos < len(needle) and tok == needle[pos]:
-            pos += 1
-    return pos == len(needle)
-
-
-def nli_label(pair: SentencePair) -> int:
-    """Label function: hypothesis content is an ordered subsequence of the
-    premise.  NEG and MASK tokens are not content."""
-    content = tuple(
-        t for t in pair.hypothesis.tokens if t not in (NEG_TOKEN, pair.hypothesis.mask_id)
-    )
-    return int(ordered_subsequence(content, pair.premise.tokens))
-
-
 def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dataset:
     """Sentence-pair dataset: token order carries the label, a NEG token the
     nuisance.

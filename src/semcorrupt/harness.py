@@ -159,7 +159,7 @@ def default_feature_spec(task: str) -> FeatureSpec:
     if task == "image":
         return FeatureSpec("flatten_grid")
     if task == "nli":
-        return FeatureSpec("bag_of_ngrams", ngram=2, buckets=64, pair_mode="concat")
+        return FeatureSpec("bag_of_ngrams", ngram=2, buckets=64)
     raise ConfigError(f"unknown task {task!r}")
 
 

@@ -23,16 +23,17 @@ _SHUFFLE_TAG = 101
 _INIT_TAG = 102
 
 _FEATURE_KINDS = ("flatten_grid", "bag_of_ngrams", "raw_vector")
-_PAIR_MODES = ("concat", "hypothesis_only")
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
     """How to turn covariates into fixed-length float vectors.
 
-    ``bag_of_ngrams`` hashes every 1..ngram-gram into ``buckets`` counting
-    bins (mask tokens count like any other id); sentence pairs either concat
-    the two sentence vectors or keep the hypothesis alone.
+    ``bag_of_ngrams`` hashes every 1..ngram-gram of each sentence of a pair
+    into ``buckets`` counting bins (mask tokens count like any other id) and
+    concatenates the premise's vector and the hypothesis's.  ``pair_mode``
+    names that layout; ``"concat"`` is its one value, recorded in every
+    model header.
     """
 
     kind: str
@@ -48,26 +49,23 @@ class FeatureSpec:
                 raise ValueError("ngram must be >= 1")
             if self.buckets < 1:
                 raise ValueError("buckets must be >= 1")
-            if self.pair_mode not in _PAIR_MODES:
-                raise ValueError(f"unknown pair_mode {self.pair_mode!r}")
+        if self.pair_mode != "concat":
+            raise ValueError(f"unknown pair_mode {self.pair_mode!r}")
 
 
 class NgramLayout:
-    """Where every n-gram window of some token covariates lands in their
+    """Where every n-gram window of some sentence pairs lands in their
     ``bag_of_ngrams`` matrix, built once: the flat token ids, the segments
-    (one per sentence) and, per window, its first token and its row's
-    first cell.  A draw of the tokens in the same segments (an n-gram
-    shuffle keeps every length) is hashed by :meth:`window_buckets` into
-    one small bucket id per window and counted by :meth:`counts`."""
+    (premise then hypothesis of each pair) and, per window, its first token
+    and its row's first cell.  A draw of the tokens in the same segments
+    (an n-gram shuffle keeps every length) is hashed by
+    :meth:`window_buckets` into one small bucket id per window and counted
+    by :meth:`counts`."""
 
     def __init__(self, spec: FeatureSpec, covariates):
-        seqs, self.rows, self.tags = token_segments(covariates,
-                                                    spec.pair_mode == "hypothesis_only")
+        seqs, self.rows, self.tags = token_segments(covariates)
         self.buckets = spec.buckets
-        self.examples = int(self.rows[-1]) + 1 if seqs else 0
-        per_example = np.bincount(self.rows)
-        if (per_example != per_example[:1]).any():
-            raise DispatchError("bag_of_ngrams cannot mix sentence pairs and lone sequences")
+        self.examples = len(covariates)
         self.lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
         try:
             self.ids = np.fromiter(chain.from_iterable(seqs), np.uint64,

@@ -310,19 +310,18 @@ def run_dfl(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConf
     return _fit_jointly(store, corruption, cfg_main, cfg_biased, hidden, step_for)
 
 
-def select_corruption(candidates, evaluate, include_identity: bool = True):
+def select_corruption(candidates, evaluate):
     """Pick the candidate with the highest evaluation score.
 
     ``evaluate`` maps a CorruptionSpec to a float (e.g. validation accuracy
     of the method run with that corruption).  The identity corruption is
     prepended unless already present, so doing nothing is always on the
-    table; ties keep the earliest candidate.
+    table (with no candidates it is the choice); ties keep the earliest
+    candidate.
     """
     specs = list(candidates)
-    if include_identity and not any(s.kind == "identity" for s in specs):
+    if not any(s.kind == "identity" for s in specs):
         specs.insert(0, CorruptionSpec("identity", None, 0))
-    if not specs:
-        raise ConfigError("no corruption candidates")
     scored = [(spec, float(evaluate(spec))) for spec in specs]
     best, best_score = scored[0]
     for spec, score in scored[1:]:

@@ -17,6 +17,7 @@ from semcorrupt.corruptions import (
     SentencePair,
     TokenSeq,
     apply,
+    ngram_randomize,
 )
 from semcorrupt.exact import (
     BINARY_INPUTS,
@@ -53,6 +54,7 @@ from semcorrupt.learner import (
     predict_proba,
     train,
 )
+from semcorrupt.rng import derive_seed
 from semcorrupt.scams import FeatureStore, build_biased_model, run_dfl, run_jtt
 
 from reference import central_difference, max_relative_error
@@ -264,16 +266,16 @@ def test_c4_corruption_properties(capsys):
     for i in range(PROPERTY_DRAWS):
         seq = rand_tokens()
         n = int(rng.integers(1, 4))
-        out = apply(CorruptionSpec("ngram_randomize", n, i), seq, i)
+        # apply's sub-seed for a pair's premise: derive_seed(derive_seed(seed, index), 0)
+        out = ngram_randomize(seq, n, derive_seed(derive_seed(i, i), 0))
         full = len(seq.tokens) // n
         blocks = [seq.tokens[k * n:(k + 1) * n] for k in range(full)]
         if len(seq.tokens) % n:
             blocks.append(seq.tokens[full * n:])
         if not concatenates_some_block_order(out.tokens, blocks):
             bad_multiset += 1
-        whole = apply(CorruptionSpec("ngram_randomize",
-                                     len(seq.tokens) + int(rng.integers(0, 3)), i),
-                      seq, i)
+        whole = ngram_randomize(seq, len(seq.tokens) + int(rng.integers(0, 3)),
+                                derive_seed(derive_seed(i, i), 0))
         if whole.tokens != seq.tokens:
             bad_identity += 1
     tally("ngram multiset", bad_multiset)
@@ -296,7 +298,8 @@ def test_c4_corruption_properties(capsys):
     for i in range(PROPERTY_DRAWS):
         kind = kinds[i % len(kinds)]
         if kind in ("ngram_randomize",):
-            cov, param = rand_tokens(), int(rng.integers(1, 4))
+            seq = rand_tokens()
+            cov, param = SentencePair(seq, seq), int(rng.integers(1, 4))
         elif kind == "premise_mask":
             cov, param = rand_pair(), None
         elif kind == "coordinate_mask":

@@ -57,8 +57,7 @@ token_ids = st.integers(min_value=0, max_value=2**63)
 token_tuples = st.lists(token_ids, min_size=0, max_size=15).map(tuple)
 seeds = st.integers(min_value=-(2**65), max_value=2**65)
 pairs = st.builds(lambda p, h: SentencePair(TokenSeq(p), TokenSeq(h)), token_tuples, token_tuples)
-specs = st.builds(FeatureSpec, st.just("bag_of_ngrams"), st.integers(1, 3),
-                  st.integers(1, 70), st.sampled_from(("concat", "hypothesis_only")))
+specs = st.builds(FeatureSpec, st.just("bag_of_ngrams"), st.integers(1, 3), st.integers(1, 70))
 KERNEL = settings(max_examples=150, deadline=None)
 
 # below(3) rejects exactly the word 2**64 - 1
@@ -73,23 +72,17 @@ def ref_bag(tokens: tuple, ngram: int, buckets: int) -> list:
     return counts
 
 
-def ref_row(spec: FeatureSpec, cov) -> list:
-    if isinstance(cov, TokenSeq):
-        return ref_bag(cov.tokens, spec.ngram, spec.buckets)
-    hyp = ref_bag(cov.hypothesis.tokens, spec.ngram, spec.buckets)
-    if spec.pair_mode == "hypothesis_only":
-        return hyp
-    return ref_bag(cov.premise.tokens, spec.ngram, spec.buckets) + hyp
+def ref_row(spec: FeatureSpec, pair: SentencePair) -> list:
+    return (ref_bag(pair.premise.tokens, spec.ngram, spec.buckets)
+            + ref_bag(pair.hypothesis.tokens, spec.ngram, spec.buckets))
 
 
-def ref_shuffled(cov, n: int, seed: int, index: int):
+def ref_shuffled(pair: SentencePair, n: int, seed: int, index: int) -> SentencePair:
     """apply(ngram_randomize) from the documented seed chain."""
     ex = ref_derive_seed(seed, index)
-    if isinstance(cov, TokenSeq):
-        return TokenSeq(ref_block_shuffle(cov.tokens, n, ref_derive_seed(ex, 0)))
     return SentencePair(
-        TokenSeq(ref_block_shuffle(cov.premise.tokens, n, ref_derive_seed(ex, 0))),
-        TokenSeq(ref_block_shuffle(cov.hypothesis.tokens, n, ref_derive_seed(ex, 1))),
+        TokenSeq(ref_block_shuffle(pair.premise.tokens, n, ref_derive_seed(ex, 0))),
+        TokenSeq(ref_block_shuffle(pair.hypothesis.tokens, n, ref_derive_seed(ex, 1))),
     )
 
 
@@ -207,17 +200,10 @@ def test_featurize_pairs_matches_oracle_buckets(covs, spec):
     assert np.array_equal(X, np.array([ref_row(spec, c) for c in covs]))
 
 
-@given(st.lists(token_tuples, min_size=1, max_size=10), specs)
-@KERNEL
-def test_featurize_lone_sequences_matches_oracle_buckets(seqs, spec):
-    covs = [TokenSeq(t) for t in seqs]
-    assert np.array_equal(featurize(spec, covs), np.array([ref_row(spec, c) for c in covs]))
-
-
 def test_featurize_wraps_ids_beyond_64_bits():
     spec = FeatureSpec("bag_of_ngrams", ngram=2, buckets=50)
-    big = TokenSeq((2**64 + 3, 2**70, 5))
-    small = TokenSeq((3, 0, 5))
+    big = SentencePair(TokenSeq((2**64 + 3, 2**70, 5)), TokenSeq((2**65 + 7, 1)))
+    small = SentencePair(TokenSeq((3, 0, 5)), TokenSeq((7, 1)))
     assert np.array_equal(featurize(spec, [big]), np.array([ref_row(spec, big)]))
     assert np.array_equal(featurize(spec, [big]), featurize(spec, [small]))
 
@@ -242,22 +228,13 @@ def test_corrupted_features_matches_oracle(covs, fspec, n, seed):
     assert np.array_equal(corrupted_features(dataset(covs), spec, fspec), want)
 
 
-@given(st.lists(st.one_of(pairs, token_tuples.map(TokenSeq)), min_size=1, max_size=8),
-       st.integers(1, 5), seeds)
+@given(st.lists(pairs, min_size=1, max_size=8), st.integers(1, 5), seeds)
 @KERNEL
 def test_apply_all_matches_apply_and_oracle(covs, n, seed):
     spec = CorruptionSpec("ngram_randomize", n, seed)
     got = apply_all(spec, covs)
     assert got == [apply(spec, c, i) for i, c in enumerate(covs)]
     assert got == [ref_shuffled(c, n, seed, i) for i, c in enumerate(covs)]
-
-
-def test_corrupted_features_keeps_lone_sequence_subseed():
-    covs = [TokenSeq((4, 5, 6, 7)), TokenSeq((1, 2, 3))]
-    spec = CorruptionSpec("ngram_randomize", 1, 11)
-    fs = FeatureSpec("bag_of_ngrams", ngram=2, buckets=16)
-    want = np.array([ref_row(fs, ref_shuffled(c, 1, 11, i)) for i, c in enumerate(covs)])
-    assert np.array_equal(corrupted_features(dataset(covs), spec, fs), want)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from semcorrupt.corruptions import (
     SentencePair,
     TokenSeq,
     apply,
+    apply_all,
     coordinate_mask,
     freq_filter,
     gauss_noise,
@@ -23,6 +24,7 @@ from semcorrupt.corruptions import (
     roi_mask,
 )
 from semcorrupt.errors import DispatchError, SizingError
+from semcorrupt.learner import FeatureSpec, featurize
 from semcorrupt.rng import derive_seed
 
 from reference import (
@@ -54,7 +56,6 @@ class TestGrid:
     def test_two_dim_promoted_to_single_channel(self):
         g = Grid(np.zeros((4, 5)))
         assert g.values.shape == (4, 5, 1)
-        assert (g.height, g.width, g.channels) == (4, 5, 1)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
@@ -631,12 +632,15 @@ class TestApply:
         assert out.hypothesis.tokens == ngram_randomize(hyp, 1, derive_seed(ex, 1)).tokens
         assert out.premise.tokens != out.hypothesis.tokens
 
-    def test_bare_token_seq_accepted_for_ngram(self):
+    def test_bare_token_seq_rejected_for_ngram(self):
         seq = TokenSeq((1, 2, 3, 4), 0)
         spec = CorruptionSpec("ngram_randomize", 2, seed=3)
-        out = apply(spec, seq, 1)
-        ex = derive_seed(3, 1)
-        assert out.tokens == ngram_randomize(seq, 2, derive_seed(ex, 0)).tokens
+        with pytest.raises(DispatchError):
+            apply(spec, seq, 1)
+        with pytest.raises(DispatchError):
+            apply_all(spec, [seq])
+        with pytest.raises(DispatchError):
+            featurize(FeatureSpec("bag_of_ngrams"), [seq])
 
     def test_deterministic(self):
         g = rand_grid(4, 4)

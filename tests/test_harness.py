@@ -679,8 +679,7 @@ class TestModelIO:
 
     def test_feature_spec_roundtrip(self, tmp_path):
         model = LinearModel(64, 2)
-        model.feature_spec = FeatureSpec("bag_of_ngrams", ngram=3, buckets=32,
-                                         pair_mode="hypothesis_only")
+        model.feature_spec = FeatureSpec("bag_of_ngrams", ngram=3, buckets=32)
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -698,6 +697,8 @@ class TestModelIO:
         '{"kind": "bag_of_ngrams", "ngram": 2, "buckets": 0, "pair_mode": "concat"}',
         '{"kind": "flatten_grid", "ngram": 2, "buckets": 64, "pair_mode": "concat", '
         '"extra": 1}',
+        '{"kind": "bag_of_ngrams", "ngram": 2, "buckets": 64, "pair_mode": "hypothesis_only"}',
+        '{"kind": "flatten_grid", "ngram": 2, "buckets": 64, "pair_mode": "zzz"}',
     ])
     def test_bad_feature_spec_rejected(self, tmp_path, features):
         path = tmp_path / "model.bin"
@@ -705,7 +706,7 @@ class TestModelIO:
         magic, _, params = path.read_bytes().split(b"\n", 2)
         header = '{"n_features": 5, "n_classes": 3, "hidden": 0, "features": %s}' % features
         path.write_bytes(b"\n".join([magic, header.encode(), params]))
-        with pytest.raises(ConfigError, match="features|ngram|buckets|kind"):
+        with pytest.raises(ConfigError, match="features|ngram|buckets|kind|pair_mode"):
             load_model(str(path))
 
 

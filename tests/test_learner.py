@@ -83,8 +83,8 @@ class TestFeaturize:
 
     def test_bag_counts_land_in_oracle_buckets(self):
         spec = FeatureSpec("bag_of_ngrams", ngram=2, buckets=64)
-        X = featurize(spec, [TokenSeq((1, 2, 3), 0)])
-        want = np.zeros(64)
+        X = featurize(spec, [SentencePair(TokenSeq((1, 2, 3), 0), TokenSeq((), 0))])
+        want = np.zeros(128)   # the empty hypothesis's half stays zero
         for window in [(1,), (2,), (3,), (1, 2), (2, 3)]:
             want[ref_ngram_bucket(window, 64)] += 1.0
         assert np.array_equal(X[0], want)
@@ -99,14 +99,14 @@ class TestFeaturize:
 
     def test_unigram_bag_is_order_invariant(self):
         spec = FeatureSpec("bag_of_ngrams", ngram=1, buckets=16)
-        a = featurize(spec, [TokenSeq((5, 3, 9, 3), 0)])
-        b = featurize(spec, [TokenSeq((3, 9, 5, 3), 0)])
+        a = featurize(spec, [SentencePair(TokenSeq((5, 3, 9, 3), 0), TokenSeq((1, 2), 0))])
+        b = featurize(spec, [SentencePair(TokenSeq((3, 9, 5, 3), 0), TokenSeq((2, 1), 0))])
         assert np.array_equal(a, b)
 
     def test_bigram_bag_is_order_sensitive(self):
         spec = FeatureSpec("bag_of_ngrams", ngram=2, buckets=64)
-        a = featurize(spec, [TokenSeq((1, 2, 3), 0)])
-        b = featurize(spec, [TokenSeq((3, 2, 1), 0)])
+        a = featurize(spec, [SentencePair(TokenSeq((1, 2, 3), 0), TokenSeq((4, 5), 0))])
+        b = featurize(spec, [SentencePair(TokenSeq((3, 2, 1), 0), TokenSeq((4, 5), 0))])
         assert not np.array_equal(a, b)
 
     def test_pair_concat_and_hypothesis_only(self):
@@ -114,13 +114,14 @@ class TestFeaturize:
         spec = FeatureSpec("bag_of_ngrams", ngram=1, buckets=32)
         X = featurize(spec, [pair])
         assert X.shape == (1, 64)
-        prem = featurize(spec, [TokenSeq((1, 2, 3), 0)])[0]
-        hyp = featurize(spec, [TokenSeq((4, 5), 0)])[0]
-        assert np.array_equal(X[0][:32], prem)
-        assert np.array_equal(X[0][32:], hyp)
-        only = FeatureSpec("bag_of_ngrams", ngram=1, buckets=32,
-                           pair_mode="hypothesis_only")
-        assert np.array_equal(featurize(only, [pair])[0], hyp)
+        want = np.zeros(64)
+        for t in (1, 2, 3):
+            want[ref_ngram_bucket((t,), 32)] += 1.0
+        for t in (4, 5):
+            want[32 + ref_ngram_bucket((t,), 32)] += 1.0
+        assert np.array_equal(X[0], want)
+        with pytest.raises(ValueError):
+            FeatureSpec("bag_of_ngrams", ngram=1, buckets=32, pair_mode="hypothesis_only")
 
     def test_bag_rejects_grid(self):
         with pytest.raises(DispatchError):

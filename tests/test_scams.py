@@ -357,14 +357,6 @@ class TestRunDfl:
 
 
 class TestSelectCorruption:
-    def test_single_candidate_without_identity(self):
-        spec = CorruptionSpec("roi_mask", 16, 0)
-        best, score, scored = select_corruption([spec], lambda s: 0.75,
-                                                include_identity=False)
-        assert best == spec
-        assert score == 0.75
-        assert len(scored) == 1
-
     def test_identity_is_prepended_by_default(self):
         seen = []
         best, _, scored = select_corruption(
@@ -376,22 +368,22 @@ class TestSelectCorruption:
     def test_ties_keep_the_earliest(self):
         a = CorruptionSpec("roi_mask", 8, 0)
         b = CorruptionSpec("roi_mask", 16, 0)
-        best, _, _ = select_corruption([a, b], lambda s: 1.0,
-                                       include_identity=False)
+        best, _, _ = select_corruption([a, b], lambda s: float(s.kind != "identity"))
         assert best == a
 
     def test_strictly_better_candidate_wins(self):
         a = CorruptionSpec("roi_mask", 8, 0)
         b = CorruptionSpec("roi_mask", 16, 0)
         best, score, _ = select_corruption(
-            [a, b], lambda s: 0.9 if s.param == 16 else 0.1,
-            include_identity=False)
+            [a, b], lambda s: 0.9 if s.param == 16 else 0.1)
         assert best == b
         assert score == 0.9
 
-    def test_no_candidates_raises(self):
-        with pytest.raises(ConfigError):
-            select_corruption([], lambda s: 0.0, include_identity=False)
+    def test_no_candidates_picks_identity(self):
+        best, score, scored = select_corruption([], lambda s: 0.25)
+        assert best == CorruptionSpec("identity", None, 0)
+        assert score == 0.25
+        assert scored == [(best, 0.25)]
 
 
 # ---------------------------------------------------------------------------
