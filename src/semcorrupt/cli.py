@@ -21,9 +21,8 @@ from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
 from .errors import ConfigError, TrainingError, UndefinedWeightError
 from .harness import (
     METHODS,
+    TASKS,
     MethodSpec,
-    desk_image_experiment,
-    desk_nli_experiment,
     evaluate,
     generate_task,
     load_dataset,
@@ -132,8 +131,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    preset = desk_image_experiment if args.task == "image" else desk_nli_experiment
-    config, methods = preset(tuple(range(args.seeds)))
+    config, methods = TASKS[args.task].preset(tuple(range(args.seeds)))
     result = run_experiment(config, methods)
     csv = result.to_csv()
     with open(args.out, "w") as fh:
@@ -164,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--task", choices=("image", "nli"), required=True)
+    g.add_argument("--task", choices=list(TASKS), required=True)
     g.add_argument("--rho", type=float, required=True,
                    help="label-nuisance relationship strength in [0, 1]")
     g.add_argument("--n", type=int, required=True)
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("report", help="run a desk benchmark and write CSV")
-    r.add_argument("--task", choices=("image", "nli"), required=True)
+    r.add_argument("--task", choices=[t for t in TASKS if TASKS[t].preset], required=True)
     r.add_argument("--seeds", type=int, default=5, help="number of seeds")
     r.add_argument("--out", required=True)
     r.add_argument("--per-seed", default=None)

@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from itertools import pairwise
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .families import (
     Dataset,
     flip_noise_family,
     negated_coordinate_family,
-    synthetic_image_task,
-    synthetic_nli_task,
+    synthetic_image_task,          # the task generators are called by name
+    synthetic_nli_task,            # through TASKS
     xor_sign_family,
 )
 from .learner import (FeatureSpec, LinearModel, TrainConfig, featurize, layer_widths,
@@ -136,31 +137,41 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    task: str                      # image | nli
+    task: str                      # a TASKS name
     rho_train: float
     n_train: int
     n_eval: int
     seeds: tuple
-    feature: FeatureSpec
     cfg_main: TrainConfig
     cfg_aux: TrainConfig
     hidden: int = 0
 
+    @property
+    def feature(self) -> FeatureSpec:
+        return default_feature_spec(self.task)
+
+
+@dataclass(frozen=True)
+class Task:
+    """A task: its generator's name (looked up at call time), features and desk preset."""
+
+    generator: str
+    feature: FeatureSpec
+    preset: Callable | None = None
+
+
+def _task_entry(task: str) -> Task:
+    if task not in TASKS:
+        raise ConfigError(f"unknown task {task!r}")
+    return TASKS[task]
+
 
 def generate_task(task: str, rho: float, n: int, seed: int, flip: bool = False) -> Dataset:
-    if task == "image":
-        return synthetic_image_task(rho, n, seed, flip)
-    if task == "nli":
-        return synthetic_nli_task(rho, n, seed, flip)
-    raise ConfigError(f"unknown task {task!r}")
+    return globals()[_task_entry(task).generator](rho, n, seed, flip)
 
 
 def default_feature_spec(task: str) -> FeatureSpec:
-    if task == "image":
-        return FeatureSpec("flatten_grid")
-    if task == "nli":
-        return FeatureSpec("bag_of_ngrams", ngram=2, buckets=64)
-    raise ConfigError(f"unknown task {task!r}")
+    return _task_entry(task).feature
 
 
 def run_method(method: MethodSpec, store: FeatureStore, cfg_main: TrainConfig,
@@ -359,7 +370,6 @@ def desk_image_experiment(seeds=DESK_SEEDS):
         n_train=1500,
         n_eval=1500,
         seeds=tuple(seeds),
-        feature=default_feature_spec("image"),
         cfg_main=TrainConfig(epochs=10, batch_size=64, lr=0.02, weight_decay=1e-3),
         cfg_aux=TrainConfig(epochs=30, batch_size=64, lr=0.1, weight_decay=1e-3),
     )
@@ -383,7 +393,6 @@ def desk_nli_experiment(seeds=DESK_SEEDS):
         n_train=1200,
         n_eval=1200,
         seeds=tuple(seeds),
-        feature=default_feature_spec("nli"),
         cfg_main=TrainConfig(epochs=40, batch_size=32, lr=0.2, weight_decay=1e-4),
         cfg_aux=TrainConfig(epochs=40, batch_size=32, lr=0.2, weight_decay=1e-4),
     )
@@ -394,6 +403,12 @@ def desk_nli_experiment(seeds=DESK_SEEDS):
         MethodSpec("jtt", CorruptionSpec("ngram_randomize", 1, 7), lambda_up=6),
     )
     return config, methods
+
+
+TASKS = {
+    "image": Task("synthetic_image_task", FeatureSpec("flatten_grid"), desk_image_experiment),
+    "nli": Task("synthetic_nli_task", FeatureSpec("bag_of_ngrams"), desk_nli_experiment),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +661,7 @@ def save_model(model: LinearModel, path: str) -> None:
     header = {"n_features": model.n_features, "n_classes": model.n_classes,
               "hidden": model.hidden}
     if model.feature_spec is not None:
-        header["features"] = asdict(model.feature_spec)
+        header["features"] = asdict(model.feature_spec) | {"pair_mode": FeatureSpec.pair_mode}
     header = json.dumps(header)
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
@@ -709,9 +724,11 @@ def _feature_spec(obj, where: str) -> FeatureSpec:
     fields = {"kind": str, "ngram": int, "buckets": int, "pair_mode": str}
     if not isinstance(obj, dict) or set(obj) != set(fields):
         raise ConfigError(f"{where}: 'features' must hold exactly {sorted(fields)}")
+    values = {key: _field(obj, key, kind, where) for key, kind in fields.items()}
+    if values.pop("pair_mode") != FeatureSpec.pair_mode:
+        raise ConfigError(f"{where}: unknown pair_mode {obj['pair_mode']!r}")
     try:
-        return FeatureSpec(**{key: _field(obj, key, kind, where)
-                              for key, kind in fields.items()})
+        return FeatureSpec(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

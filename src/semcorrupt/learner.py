@@ -31,26 +31,20 @@ class FeatureSpec:
 
     ``bag_of_ngrams`` hashes every 1..ngram-gram of each sentence of a pair
     into ``buckets`` counting bins (mask tokens count like any other id) and
-    concatenates the premise's vector and the hypothesis's.  ``pair_mode``
-    names that layout; ``"concat"`` is its one value, recorded in every
-    model header.
+    concatenates the premise's vector and the hypothesis's, the one layout
+    (``pair_mode``) that every model header records.
     """
 
     kind: str
     ngram: int = 2
     buckets: int = 64
-    pair_mode: str = "concat"
+    pair_mode = "concat"           # a constant, not a field
 
     def __post_init__(self):
         if self.kind not in _FEATURE_KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.kind == "bag_of_ngrams":
-            if self.ngram < 1:
-                raise ValueError("ngram must be >= 1")
-            if self.buckets < 1:
-                raise ValueError("buckets must be >= 1")
-        if self.pair_mode != "concat":
-            raise ValueError(f"unknown pair_mode {self.pair_mode!r}")
+        if self.ngram < 1 or self.buckets < 1:
+            raise ValueError(f"ngram and buckets must be >= 1, not {self.ngram}, {self.buckets}")
 
 
 class NgramLayout:

@@ -72,6 +72,14 @@ class TestGen:
                   "--seed", "0", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    def test_task_choices_come_from_the_table(self):
+        """``gen`` takes every TASKS entry, ``report`` every one with a preset."""
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        choices = {name: next(a.choices for a in sub._actions if a.dest == "task")
+                   for name, sub in commands.choices.items() if name in ("gen", "report")}
+        assert choices["gen"] == list(harness.TASKS)
+        assert choices["report"] == [t for t, task in harness.TASKS.items() if task.preset]
+
 
 class TestPipeline:
     def test_corrupt_train_eval_flow(self, image_dir, tmp_path, capsys):
@@ -380,7 +388,7 @@ class TestReport:
                 raise TrainingError("injected failure")
             return real(method, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "desk_nli_experiment", tiny)
+        monkeypatch.setitem(harness.TASKS, "nli", replace(harness.TASKS["nli"], preset=tiny))
         monkeypatch.setattr(harness, "run_method", flaky)
         out_csv, per_seed = tmp_path / "report.csv", tmp_path / "per_seed.csv"
         code = main(["report", "--task", "nli", "--seeds", "1",

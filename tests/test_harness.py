@@ -206,9 +206,7 @@ class TestTaskHelpers:
 
     def test_default_feature_specs(self):
         assert default_feature_spec("image") == FeatureSpec("flatten_grid")
-        assert default_feature_spec("nli") == FeatureSpec(
-            "bag_of_ngrams", ngram=2, buckets=64, pair_mode="concat"
-        )
+        assert default_feature_spec("nli") == FeatureSpec("bag_of_ngrams", ngram=2, buckets=64)
 
     def test_dispatches_to_task_generators(self):
         img = generate_task("image", 0.9, 6, 11, flip=True)
@@ -217,6 +215,30 @@ class TestTaskHelpers:
         assert np.array_equal(img.labels, ref.labels)
         nli = generate_task("nli", 0.9, 6, 11)
         assert nli.covariates[0] == synthetic_nli_task(0.9, 6, 11).covariates[0]
+
+    def test_generator_rebound_by_name_is_the_one_called(self, monkeypatch):
+        """A generator rebound at module level, as a tracer does, is what
+        ``generate_task`` and every split of ``run_experiment`` call."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return synthetic_nli_task(*args)
+
+        monkeypatch.setattr(harness, "synthetic_nli_task", spy)
+        generate_task("nli", 0.9, 6, 11)
+        assert calls == [(0.9, 6, 11, False)]
+        config, _ = desk_nli_experiment((0,))
+        config = replace(config, n_train=16, n_eval=8,
+                         cfg_main=replace(config.cfg_main, epochs=1))
+        run_experiment(config, [MethodSpec("erm")])
+        assert len(calls) == 1 + 1 + len(SPLITS)   # training set, then each split
+
+    def test_config_features_come_from_the_table(self):
+        config, _ = desk_image_experiment((0,))
+        assert config.feature == harness.TASKS["image"].feature
+        assert replace(config, task="nli").feature == harness.TASKS["nli"].feature
+        assert "feature" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +250,6 @@ def tiny_sweep():
     """The same two-method sweep run twice, for determinism and shape checks."""
     config = ExperimentConfig(
         task="image", rho_train=0.9, n_train=120, n_eval=80, seeds=(0, 1),
-        feature=default_feature_spec("image"),
         cfg_main=TrainConfig(epochs=2, batch_size=64, lr=0.05, weight_decay=1e-3),
         cfg_aux=TrainConfig(epochs=2, batch_size=64, lr=0.05, weight_decay=1e-3),
     )
@@ -242,7 +263,6 @@ class TestRunExperiment:
         nearly perfect in distribution on the image task."""
         config = ExperimentConfig(
             task="image", rho_train=0.5, n_train=600, n_eval=400, seeds=(0,),
-            feature=default_feature_spec("image"),
             cfg_main=TrainConfig(epochs=20, batch_size=64, lr=0.1, weight_decay=1e-3),
             cfg_aux=TrainConfig(epochs=20, batch_size=64, lr=0.1, weight_decay=1e-3),
         )
@@ -284,7 +304,6 @@ class TestRunExperiment:
         records the failure per seed and still finishes the other method."""
         config = ExperimentConfig(
             task="image", rho_train=0.9, n_train=60, n_eval=40, seeds=(0, 1),
-            feature=default_feature_spec("image"),
             cfg_main=TrainConfig(epochs=1, batch_size=32, lr=0.05),
             cfg_aux=TrainConfig(epochs=1, batch_size=32, lr=0.05),
         )
@@ -300,7 +319,6 @@ class TestRunExperiment:
     def test_duplicate_labels_rejected(self):
         config = ExperimentConfig(
             task="image", rho_train=0.5, n_train=10, n_eval=10, seeds=(0,),
-            feature=default_feature_spec("image"),
             cfg_main=TrainConfig(epochs=1, batch_size=8, lr=0.1),
             cfg_aux=TrainConfig(epochs=1, batch_size=8, lr=0.1),
         )
@@ -370,7 +388,6 @@ SHARED_SWEEPS = {
 def shared_config(task: str, hidden: int) -> ExperimentConfig:
     return ExperimentConfig(
         task=task, rho_train=0.9, n_train=72, n_eval=40, seeds=(0, 1),
-        feature=default_feature_spec(task),
         cfg_main=TrainConfig(epochs=2, batch_size=16, lr=0.05, weight_decay=1e-3),
         cfg_aux=TrainConfig(epochs=3, batch_size=16, lr=0.1, weight_decay=1e-3),
         hidden=hidden,
@@ -485,7 +502,6 @@ def select_config():
     full auxiliary budget."""
     return ExperimentConfig(
         task="image", rho_train=0.9, n_train=500, n_eval=320, seeds=(0,),
-        feature=default_feature_spec("image"),
         cfg_main=TrainConfig(epochs=10, batch_size=64, lr=0.02, weight_decay=1e-3),
         cfg_aux=TrainConfig(epochs=30, batch_size=64, lr=0.1, weight_decay=1e-3),
     )
@@ -699,6 +715,7 @@ class TestModelIO:
         '"extra": 1}',
         '{"kind": "bag_of_ngrams", "ngram": 2, "buckets": 64, "pair_mode": "hypothesis_only"}',
         '{"kind": "flatten_grid", "ngram": 2, "buckets": 64, "pair_mode": "zzz"}',
+        '{"kind": "flatten_grid", "ngram": 0, "buckets": 64, "pair_mode": "concat"}',
     ])
     def test_bad_feature_spec_rejected(self, tmp_path, features):
         path = tmp_path / "model.bin"
@@ -708,6 +725,16 @@ class TestModelIO:
         path.write_bytes(b"\n".join([magic, header.encode(), params]))
         with pytest.raises(ConfigError, match="features|ngram|buckets|kind|pair_mode"):
             load_model(str(path))
+
+    def test_bad_feature_field_names_the_path_once(self, tmp_path):
+        path = tmp_path / "m.bin"
+        model = LinearModel(5, 3)
+        model.feature_spec = FeatureSpec("flatten_grid")
+        save_model(model, str(path))
+        path.write_bytes(path.read_bytes().replace(b'"ngram": 2', b'"ngram": -3'))
+        with pytest.raises(ConfigError, match="'ngram'") as exc:
+            load_model(str(path))
+        assert str(exc.value).count(str(path)) == 1
 
 
 # sha256 of (parameter bytes, per-epoch losses, saved model file) of every

@@ -63,8 +63,8 @@ class TestFeatureSpec:
             FeatureSpec("bag_of_ngrams", ngram=0)
         with pytest.raises(ValueError):
             FeatureSpec("bag_of_ngrams", buckets=0)
-        with pytest.raises(ValueError):
-            FeatureSpec("bag_of_ngrams", pair_mode="sum")
+        with pytest.raises(ValueError):   # checked for every kind: saved specs load back
+            FeatureSpec("flatten_grid", ngram=-3)
 
 
 class TestFeaturize:
@@ -109,7 +109,7 @@ class TestFeaturize:
         b = featurize(spec, [SentencePair(TokenSeq((3, 2, 1), 0), TokenSeq((4, 5), 0))])
         assert not np.array_equal(a, b)
 
-    def test_pair_concat_and_hypothesis_only(self):
+    def test_pair_concat_layout(self):
         pair = SentencePair(TokenSeq((1, 2, 3), 0), TokenSeq((4, 5), 0))
         spec = FeatureSpec("bag_of_ngrams", ngram=1, buckets=32)
         X = featurize(spec, [pair])
@@ -120,8 +120,6 @@ class TestFeaturize:
         for t in (4, 5):
             want[32 + ref_ngram_bucket((t,), 32)] += 1.0
         assert np.array_equal(X[0], want)
-        with pytest.raises(ValueError):
-            FeatureSpec("bag_of_ngrams", ngram=1, buckets=32, pair_mode="hypothesis_only")
 
     def test_bag_rejects_grid(self):
         with pytest.raises(DispatchError):
