@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy import fft   # loaded with this module, so a sweep's forked workers inherit it
 
 from .errors import DispatchError, SizingError
 from .rng import (Stream, as_words, below_words, box_muller, derive_seed, derive_seeds,
@@ -198,14 +199,14 @@ def freq_filter_rows(values: np.ndarray, cutoff: int) -> np.ndarray:
     c0 = w // 2 - cutoff // 2
     shifted = np.zeros((h, w), dtype=bool)
     shifted[r0 : r0 + cutoff, c0 : c0 + cutoff] = True
-    mask = np.fft.ifftshift(shifted)
+    mask = fft.ifftshift(shifted)
     # close under frequency negation: mirror[u, v] = mask[-u mod h, -v mod w]
     mask |= np.roll(mask[::-1, ::-1], (1, 1), axis=(0, 1))
     out = np.empty(values.shape)
     for at in range(0, len(values), GRID_CHUNK):
-        spec = np.fft.fft2(values[at : at + GRID_CHUNK], axes=(1, 2))
+        spec = fft.fft2(values[at : at + GRID_CHUNK], axes=(1, 2))
         spec[:, mask] = 0.0
-        out[at : at + GRID_CHUNK] = np.fft.ifft2(spec, axes=(1, 2), out=spec).real
+        out[at : at + GRID_CHUNK] = fft.ifft2(spec, axes=(1, 2), out=spec).real
     return out
 
 
@@ -353,7 +354,8 @@ def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     src = np.arange(int(lengths.sum()))
-    for length in np.unique(lengths[lengths > n]).tolist():
+    # not np.unique, whose first call imports numpy.ma (in each sweep worker)
+    for length in sorted(set(lengths[lengths > n].tolist())):
         rows = np.flatnonzero(lengths == length)
         full, rest = divmod(length, n)
         blocks = full + (rest > 0)

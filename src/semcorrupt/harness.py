@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 from dataclasses import asdict, dataclass, field, replace
 from itertools import pairwise
 from typing import Callable
@@ -305,12 +306,64 @@ def _eval_split(config: ExperimentConfig, split: str, seed: int) -> Dataset:
     return generate_task(config.task, rho, config.n_eval, derive_seed(seed, tag), flip)
 
 
+def _train_cell(method: MethodSpec, store: FeatureStore, cfg_main: TrainConfig,
+                cfg_aux: TrainConfig, hidden: int):
+    """One (method, seed) cell: its model, or the ``"Type: message"`` error
+    the sweep records for it."""
+    try:
+        return run_method(method, store, cfg_main, cfg_aux, hidden)[0]
+    except Exception as exc:   # record and move on
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _train_cells(store: FeatureStore, methods: tuple, cfg_main: TrainConfig,
+                 cfg_aux: TrainConfig, hidden: int) -> list:
+    """Every method's model or error, trained in forked worker processes,
+    one per usable CPU: worker ``k`` trains methods ``k``, ``k + workers``,
+    ... on the store it inherits (the clean features shared copy-on-write)
+    and sends their results back through a pipe, pickled.  The cells of a
+    worker that dies before sending them fail with a ``ChildProcessError``.
+    Every worker is reaped before this returns."""
+    workers = min(len(methods), len(os.sched_getaffinity(0)))
+    shares = [range(k, len(methods), workers) for k in range(workers)]
+    children = []   # (pid, the read end of its pipe)
+    try:
+        for cells in shares:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the worker: nothing may return into the caller's code
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as sink:
+                        pickle.dump([_train_cell(methods[i], store, cfg_main, cfg_aux, hidden)
+                                     for i in cells], sink)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        trained = [None] * len(methods)
+        for (_, results), cells in zip(children, shares):
+            try:
+                outs = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):
+                outs = ["ChildProcessError: the worker training this cell died"] * len(cells)
+            for i, out in zip(cells, outs):
+                trained[i] = out
+        return trained
+    finally:
+        for pid, results in children:
+            results.close()
+            os.waitpid(pid, 0)
+
+
 def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
     """Full sweep: per seed, train every method on one training set through
-    one :class:`FeatureStore`, then generate each held-out split
-    (in-distribution, flipped, balanced), featurize it once and score every
-    trained model on it.  A failure in one (method, seed) cell is recorded
-    and the sweep continues."""
+    one :class:`FeatureStore` (in forked workers, :func:`_train_cells`),
+    then generate each held-out split (in-distribution, flipped, balanced),
+    featurize it once and score every trained model on it.  A failure in
+    one (method, seed) cell is recorded and the sweep continues."""
     methods = tuple(methods)
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
@@ -321,16 +374,17 @@ def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
     for seed in config.seeds:
         store = FeatureStore(generate_task(config.task, config.rho_train, config.n_train,
                                            derive_seed(seed, 1)), config.feature)
+        store.clean()   # before the fork, so that every worker shares it
         cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
         cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
-        models, records = {}, {}
-        for m in methods:
-            try:
-                models[m.label], _ = run_method(m, store, cfg_main, cfg_aux, config.hidden)
-                records[m.label] = {}
-            except Exception as exc:   # record and move on
-                outcomes[m.label].errors.append((seed, f"{type(exc).__name__}: {exc}"))
+        trained = _train_cells(store, methods, cfg_main, cfg_aux, config.hidden)
         del store
+        models, records = {}, {}
+        for m, out in zip(methods, trained):
+            if isinstance(out, str):
+                outcomes[m.label].errors.append((seed, out))
+            else:
+                models[m.label], records[m.label] = out, {}
         for split in SPLITS:
             if not records:   # no model left to score
                 break

@@ -146,23 +146,28 @@ class LinearModel:
         shapes = list(pairwise(layer_widths(n_features, n_classes, hidden)))
         if hidden:
             stream = Stream(derive_seed(seed, _INIT_TAG))
-            self.weights = [((stream.uniforms(a * b) * 2.0 - 1.0) / math.sqrt(a)).reshape(a, b)
-                            for a, b in shapes]
+            weights = [((stream.uniforms(a * b) * 2.0 - 1.0) / math.sqrt(a)).reshape(a, b)
+                       for a, b in shapes]
         else:
-            self.weights = [np.zeros(shape) for shape in shapes]
-        self.biases = [np.zeros(b) for _, b in shapes]
+            weights = [np.zeros(shape) for shape in shapes]
+        biases = [np.zeros(b) for _, b in shapes]
+        self._hold([p for layer in zip(weights, biases) for p in layer])
 
-    @property
-    def params(self) -> list:
-        """The current weight and bias arrays in flat order, W then b per layer."""
-        return [p for layer in zip(self.weights, self.biases) for p in layer]
+    def _hold(self, params: list) -> None:
+        """Keep ``params``, the parameter arrays in flat order (W then b per
+        layer), as the tuple :attr:`params` and its :attr:`weights` and
+        :attr:`biases`: tuples, so the arrays are written in place, never
+        rebound."""
+        self.params = tuple(params)
+        self.weights, self.biases = self.params[0::2], self.params[1::2]
 
     def forward(self, X: np.ndarray):
         """Return (logits, the input of every layer, ``X`` first)."""
+        p = self.params
         inputs = [X]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            inputs.append(np.tanh(inputs[-1] @ w + b))
-        return inputs[-1] @ self.weights[-1] + self.biases[-1], inputs
+        for k in range(0, len(p) - 2, 2):
+            inputs.append(np.tanh(inputs[-1] @ p[k] + p[k + 1]))
+        return inputs[-1] @ p[-2] + p[-1], inputs
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
@@ -192,8 +197,7 @@ class LinearModel:
 
     def copy(self) -> "LinearModel":
         dup = copy.copy(self)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup._hold([p.copy() for p in self.params])
         return dup
 
 

@@ -295,13 +295,13 @@ def run_dfl(store: FeatureStore, corruption: CorruptionSpec, cfg_main: TrainConf
 
     def step_for(main, biased, Xm, y):
         def step(Xb_e, idx):
-            b_loss, b_grad = ce_loss_grad(biased, Xb_e[idx], y[idx], None,
-                                          cfg_biased.weight_decay)
+            xb, yb = Xb_e[idx], y[idx]
+            b_loss, b_grad = ce_loss_grad(biased, xb, yb, None, cfg_biased.weight_decay)
             if not math.isfinite(b_loss):
                 raise TrainingError("non-finite biased loss")
             biased.descend(cfg_biased.lr, b_grad)
-            probs = predict_proba(biased, Xb_e[idx])
-            loss, grad = dfl_loss_grad(main, probs, Xm[idx], y[idx], gamma,
+            probs = predict_proba(biased, xb)
+            loss, grad = dfl_loss_grad(main, probs, Xm[idx], yb, gamma,
                                        cfg_main.weight_decay)
             main.descend(cfg_main.lr, grad)
             return loss

@@ -373,14 +373,15 @@ class TestNonFiniteNumerics:
         assert "parameters" in capsys.readouterr().err
 
 
+def tiny_nli_preset(seeds):
+    config, methods = desk_nli_experiment(seeds)
+    return replace(config, n_train=48, n_eval=48,
+                   cfg_main=replace(config.cfg_main, epochs=1),
+                   cfg_aux=replace(config.cfg_aux, epochs=1)), methods
+
+
 class TestReport:
     def test_failed_cell_exits_3_after_writing(self, tmp_path, monkeypatch, capsys):
-        def tiny(seeds):
-            config, methods = desk_nli_experiment(seeds)
-            return replace(config, n_train=48, n_eval=48,
-                           cfg_main=replace(config.cfg_main, epochs=1),
-                           cfg_aux=replace(config.cfg_aux, epochs=1)), methods
-
         real = harness.run_method
 
         def flaky(method, *args, **kwargs):
@@ -388,7 +389,8 @@ class TestReport:
                 raise TrainingError("injected failure")
             return real(method, *args, **kwargs)
 
-        monkeypatch.setitem(harness.TASKS, "nli", replace(harness.TASKS["nli"], preset=tiny))
+        monkeypatch.setitem(harness.TASKS, "nli",
+                            replace(harness.TASKS["nli"], preset=tiny_nli_preset))
         monkeypatch.setattr(harness, "run_method", flaky)
         out_csv, per_seed = tmp_path / "report.csv", tmp_path / "per_seed.csv"
         code = main(["report", "--task", "nli", "--seeds", "1",
@@ -399,6 +401,23 @@ class TestReport:
         rows = out_csv.read_text().strip().split("\n")
         assert len(rows) == 1 + 3 * 3 * 2   # the three methods that completed
         assert len(per_seed.read_text().strip().split("\n")) == 1 + 3 * 3
+
+    def test_dying_worker_exits_3_after_writing(self, tmp_path, monkeypatch, capsys):
+        """A cell whose worker exits fails; ``report`` still writes both
+        CSVs and exits 3.  Which other cells share that worker depends on
+        the number of usable CPUs, so only the dying cell's error is
+        asserted."""
+        monkeypatch.setitem(harness.TASKS, "nli",
+                            replace(harness.TASKS["nli"], preset=tiny_nli_preset))
+        monkeypatch.setattr(harness, "run_dfl", lambda *args: os._exit(1))
+        out_csv, per_seed = tmp_path / "report.csv", tmp_path / "per_seed.csv"
+        code = main(["report", "--task", "nli", "--seeds", "1",
+                     "--out", str(out_csv), "--per-seed", str(per_seed)])
+        assert code == 3
+        assert "warning: dfl2+nr1 seed 0 failed: ChildProcessError: " in \
+            capsys.readouterr().err
+        assert out_csv.read_text().startswith("method,split,metric,mean,stddev,stderr,seeds\n")
+        assert per_seed.read_text().startswith("method,seed,split,accuracy,worst_group\n")
 
     def test_single_seed_image_report(self, tmp_path, capsys):
         out_csv = str(tmp_path / "report.csv")

@@ -245,6 +245,20 @@ class TestTaskHelpers:
 # the experiment sweep
 
 
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def small_image_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        task="image", rho_train=0.9, n_train=60, n_eval=40, seeds=(0, 1),
+        cfg_main=TrainConfig(epochs=1, batch_size=32, lr=0.05),
+        cfg_aux=TrainConfig(epochs=1, batch_size=32, lr=0.05),
+    )
+
+
 @pytest.fixture(scope="module")
 def tiny_sweep():
     """The same two-method sweep run twice, for determinism and shape checks."""
@@ -273,6 +287,7 @@ class TestRunExperiment:
         _, _, first, second = tiny_sweep
         assert first.to_csv() == second.to_csv()
         assert first.per_seed_csv() == second.per_seed_csv()
+        assert_no_child_process()
 
     def test_summary_shape(self, tiny_sweep):
         config, methods, result, _ = tiny_sweep
@@ -302,19 +317,28 @@ class TestRunExperiment:
     def test_failing_method_recorded_without_aborting_sweep(self):
         """A token corruption on the image task fails at dispatch; the sweep
         records the failure per seed and still finishes the other method."""
-        config = ExperimentConfig(
-            task="image", rho_train=0.9, n_train=60, n_eval=40, seeds=(0, 1),
-            cfg_main=TrainConfig(epochs=1, batch_size=32, lr=0.05),
-            cfg_aux=TrainConfig(epochs=1, batch_size=32, lr=0.05),
-        )
         methods = (MethodSpec("erm"), MethodSpec("poe", NR1))
-        result = run_experiment(config, methods)
+        result = run_experiment(small_image_config(), methods)
         broken = result.outcomes["poe+nr1"]
         assert broken.per_seed == []
         assert [seed for seed, _ in broken.errors] == [0, 1]
         assert all(msg.startswith("DispatchError") for _, msg in broken.errors)
         healthy = result.outcomes["erm"]
         assert len(healthy.per_seed) == 2 and healthy.errors == []
+        assert_no_child_process()
+
+    def test_dying_worker_fails_its_cell_and_the_sweep_finishes(self, monkeypatch):
+        """A worker that exits mid-cell fails its cell on every seed with a
+        ChildProcessError.  Which other cells share its worker depends on
+        the number of usable CPUs."""
+        monkeypatch.setattr(harness, "run_nurd", lambda *args: os._exit(1))
+        methods = (MethodSpec("erm"), MethodSpec("nurd", PR8), MethodSpec("jtt", PR8))
+        result = run_experiment(small_image_config(), methods)
+        dying = result.outcomes["nurd+pr8"]
+        assert dying.per_seed == []
+        assert [seed for seed, _ in dying.errors] == [0, 1]
+        assert all(msg.startswith("ChildProcessError: ") for _, msg in dying.errors)
+        assert_no_child_process()
 
     def test_duplicate_labels_rejected(self):
         config = ExperimentConfig(
@@ -396,18 +420,20 @@ def shared_config(task: str, hidden: int) -> ExperimentConfig:
 
 @pytest.fixture
 def fitted(monkeypatch):
-    """The parameter bytes of every model ``harness.run_method`` returns,
-    in call order (accuracies on small splits are too coarse to tell two
-    fits apart)."""
-    fits = []
-    real = harness.run_method
+    """The parameter bytes of every model ``harness.score_features``
+    scores, the first time it scores it, in call order (accuracies on small
+    splits are too coarse to tell two fits apart).  Recorded in this
+    process, where a sweep scores the models its workers trained."""
+    models, fits = [], []
+    real = harness.score_features
 
-    def record(method, *args, **kwargs):
-        model, info = real(method, *args, **kwargs)
-        fits.append((method.label, model.get_flat().tobytes()))
-        return model, info
+    def record(model, *args):
+        if not any(model is seen for seen in models):
+            models.append(model)
+            fits.append(model.get_flat().tobytes())
+        return real(model, *args)
 
-    monkeypatch.setattr(harness, "run_method", record)
+    monkeypatch.setattr(harness, "score_features", record)
     return fits
 
 

@@ -63,7 +63,7 @@ def posterior_model(logit_gap: float) -> LinearModel:
     """On one-hot covariates, emit posterior (sigmoid(gap), 1-sigmoid(gap))
     for the coordinate that is on."""
     model = LinearModel(2, 2)
-    model.weights[0] = np.array([[logit_gap, 0.0], [0.0, logit_gap]])
+    model.weights[0][...] = [[logit_gap, 0.0], [0.0, logit_gap]]
     return model
 
 
@@ -179,7 +179,7 @@ class TestNurdWeights:
         w_before = nurd_weights(image_biased, image_train, Xb)
         shifted = BiasedModel(image_biased.model.copy(), image_biased.corruption,
                               image_biased.class_marginal)
-        shifted.model.biases[-1] = shifted.model.biases[-1] + 3.7
+        shifted.model.biases[-1][...] += 3.7
         w_after = nurd_weights(shifted, image_train, Xb)
         assert np.allclose(w_before, w_after, atol=1e-10)
 
