@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 from numpy import fft   # loaded with this module, so a sweep's forked workers inherit it
@@ -114,16 +114,41 @@ def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> list:
     return out
 
 
+def pair_rows(premises: list, hypotheses: list, mask_ids: list) -> list:
+    """One SentencePair per row of premise tokens, hypothesis tokens and
+    mask id, checked as :class:`TokenSeq` checks but once for the whole
+    batch.  The token tuples must hold Python ints and are kept as given."""
+    if min(chain.from_iterable(premises + hypotheses), default=0) < 0:
+        raise ValueError("token ids must be non-negative")
+    if min(mask_ids, default=0) < 0:
+        raise ValueError("mask id must be non-negative")
+    # set as the dataclasses' __init__ sets them: reading an object's
+    # __dict__ would give each object a dict of its own, about 450 bytes a pair
+    put, out = object.__setattr__, []
+    for premise, hypothesis, mask_id in zip(premises, hypotheses, mask_ids, strict=True):
+        first, second = TokenSeq.__new__(TokenSeq), TokenSeq.__new__(TokenSeq)
+        put(first, "tokens", premise)
+        put(first, "mask_id", mask_id)
+        put(second, "tokens", hypothesis)
+        put(second, "mask_id", mask_id)
+        pair = SentencePair.__new__(SentencePair)
+        put(pair, "premise", first)
+        put(pair, "hypothesis", second)
+        out.append(pair)
+    return out
+
+
 def _one_row(kernel, grid: Grid, *args) -> Grid:
     return Grid(kernel(grid.values[np.newaxis], *args)[0], unit_range=False)
 
 
-def _swap_down(order: np.ndarray, draws: np.ndarray) -> None:
+def swap_down(order: np.ndarray, draws: np.ndarray) -> None:
     """Fisher-Yates on every row of ``order`` at once: step ``k`` swaps
-    column ``i = width - 1 - k`` with column ``draws[:, k]``."""
+    column ``i = width - 1 - k`` with column ``draws[:, k]``, for each
+    column of ``draws`` (``width - 1`` of them shuffle the whole row)."""
     every = np.arange(len(order))
-    for step, i in enumerate(range(order.shape[1] - 1, 0, -1)):
-        j = draws[:, step]
+    for step in range(draws.shape[1]):
+        i, j = order.shape[1] - 1 - step, draws[:, step]
         held = order[:, i].copy()
         order[:, i] = order[every, j]
         order[every, j] = held
@@ -148,7 +173,7 @@ def patch_rows(values: np.ndarray, patch: int, seeds: np.ndarray) -> np.ndarray:
     count = ph * pw
     draws, accepted = below_words(stream_words(seeds, count - 1), np.arange(count, 1, -1))
     perm = np.tile(np.arange(count), (rows, 1))
-    _swap_down(perm, draws.astype(np.int64))
+    swap_down(perm, draws.astype(np.int64))
     for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
         order = list(range(count))
         Stream(int(seeds[r])).shuffle(order)
@@ -370,7 +395,7 @@ def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
             draws = draws[:, 1:]
         else:
             order = np.tile(slot, (len(rows), 1))
-        _swap_down(order, draws)
+        swap_down(order, draws)
         for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
             order[r] = _block_order(full, rest, int(seeds[rows[r]]))
         # token offsets of each block; -1 past the end of the remainder block
@@ -553,6 +578,5 @@ def apply_all(spec: CorruptionSpec, covariates) -> list:
     src = ngram_source([len(seq) for seq in seqs], int(spec.param),
                        segment_seeds(spec.seed, rows, tags))
     shuffled = iter([flat[i] for i in src.tolist()])
-    return [SentencePair(TokenSeq(tuple(islice(shuffled, len(p.premise))), p.premise.mask_id),
-                         TokenSeq(tuple(islice(shuffled, len(p.hypothesis))), p.hypothesis.mask_id))
-            for p in covariates]
+    out = [tuple(islice(shuffled, len(seq))) for seq in seqs]
+    return pair_rows(out[0::2], out[1::2], [p.premise.mask_id for p in covariates])

@@ -16,9 +16,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .corruptions import GRID_CHUNK, SentencePair, TokenSeq, grid_rows
+from .corruptions import GRID_CHUNK, grid_rows, pair_rows, swap_down
 from .exact import JointTable
-from .rng import Stream, box_muller, derive_seed, derive_seeds, stream_words, uniform_words
+from .rng import Stream, below_words, box_muller, derive_seeds, stream_words, uniform_words
 
 
 @dataclass(frozen=True)
@@ -249,20 +249,15 @@ def sample_family(family: DiscreteFamily, rho: float, n: int, seed: int) -> Data
     picks = np.searchsorted(cum, draws, side="right")
     y_index = {y: i for i, y in enumerate(family.y_support)}
     z_index = {z: i for i, z in enumerate(family.z_support)}
-    covs, labels, nuis, groups = [], [], [], []
-    nz = len(family.z_support)
-    for pick in picks:
-        y, z, x = items[int(pick)][0]
-        covs.append(x)
-        labels.append(y_index[y])
-        nuis.append(z_index[z])
-        groups.append(y_index[y] * nz + z_index[z])
+    labels = np.array([y_index[y] for (y, _z, _x), _p in items])[picks]
+    nuis = np.array([z_index[z] for (_y, z, _x), _p in items])[picks]
+    xs = [x for (_y, _z, x), _p in items]
     return Dataset(
-        covariates=covs,
-        labels=np.array(labels),
+        covariates=[xs[pick] for pick in picks.tolist()],
+        labels=labels,
         n_classes=len(family.y_support),
-        nuisances=np.array(nuis),
-        groups=np.array(groups),
+        nuisances=nuis,
+        groups=labels * len(family.z_support) + nuis,
         provenance={"family": family.name, "rho": rho, "seed": seed, "n": n},
     )
 
@@ -370,6 +365,11 @@ NEG_TOKEN = CONTENT_VOCAB + 1
 PREMISE_LEN = 6
 
 
+# below() bounds of an example's stream words 3-9: the six partial
+# Fisher-Yates draws of the premise, then the adjacent pair
+_NLI_BOUNDS = tuple(range(CONTENT_VOCAB, CONTENT_VOCAB - PREMISE_LEN, -1)) + (PREMISE_LEN - 1,)
+
+
 def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dataset:
     """Sentence-pair dataset: token order carries the label, a NEG token the
     nuisance.
@@ -379,16 +379,25 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
     the label is exactly the ordered-subsequence relation and is destroyed
     by shuffling tokens.  NEG appears in the hypothesis with probability rho
     when the label is 0 (1 - rho when 1); ``flip`` swaps those rates.
+
+    Example ``i`` draws from ``Stream(derive_seed(seed, i))``, and all
+    examples' nine words are one array: word 1 is ``y = below(2)``, word 2
+    the NEG uniform, words 3-8 the partial Fisher-Yates draws ``below(12)``
+    .. ``below(7)`` that pick the premise, and word 9 ``below(5)``, the
+    adjacent pair.  ``below`` can reject words 3-6, 8 and 9 (its bound is
+    not a power of two there); an example with a rejected word is drawn
+    again by the scalar stream, which goes on to the next word.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
 
-    def draw(stream: Stream):
+    def p_neg(y):
+        p = np.where(y == 0, rho, 1.0 - rho)
+        return 1.0 - p if flip else p
+
+    def draw(stream: Stream) -> tuple:
         y = stream.below(2)
-        p_neg = rho if y == 0 else 1.0 - rho
-        if flip:
-            p_neg = 1.0 - p_neg
-        z = 1 if stream.uniform() < p_neg else 0
+        z = 1 if stream.uniform() < p_neg(y) else 0
         pool = list(range(1, CONTENT_VOCAB + 1))
         for j in range(PREMISE_LEN):
             k = j + stream.below(CONTENT_VOCAB - j)
@@ -397,11 +406,29 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
         at = stream.below(PREMISE_LEN - 1)
         u, v = premise[at], premise[at + 1]
         content = (u, v) if y == 1 else (v, u)
-        hyp = content + (NEG_TOKEN,) if z else content
-        return SentencePair(TokenSeq(premise, MASK_ID), TokenSeq(hyp, MASK_ID)), y, z
+        return y, z, premise, content + (NEG_TOKEN,) if z else content
 
-    # over an array, as the image task, so an oversized n fails at once
-    rows = [draw(Stream(derive_seed(seed, i))) for i in np.arange(n).tolist()]
-    return _binary([c for c, _y, _z in rows], [y for _c, y, _z in rows],
-                   [z for _c, _y, z in rows],
+    seeds = derive_seeds(seed, np.arange(n))
+    rows = len(seeds)
+    words = stream_words(seeds, 2 + len(_NLI_BOUNDS))
+    # below(2) takes one word and never rejects it: 2**64 % 2 == 0
+    y = (words[:, 0] % np.uint64(2)).astype(np.int64)
+    z = (uniform_words(words[:, 1]) < p_neg(y)).astype(np.int64)
+    draws, accepted = below_words(words[:, 2:], _NLI_BOUNDS)
+    draws = draws.astype(np.int64)
+    # step j swaps pool[j] with pool[j + draws[:, j]]; on the pool reversed,
+    # that is Fisher-Yates from the top down, which swap_down runs
+    top = CONTENT_VOCAB - 1 - np.arange(PREMISE_LEN)
+    pool = np.tile(np.arange(CONTENT_VOCAB, 0, -1), (rows, 1))
+    swap_down(pool, top - draws[:, :PREMISE_LEN])
+    premise = np.sort(pool[:, CONTENT_VOCAB - PREMISE_LEN:], axis=1)
+    adjacent = np.take_along_axis(premise, draws[:, -1:] + np.arange(2), axis=1)
+    content = np.where(y[:, np.newaxis] == 1, adjacent, adjacent[:, ::-1])
+    y, z = y.tolist(), z.tolist()
+    # tuples zipped from columns, with no list per row on the way
+    premises = list(zip(*premise.T.tolist()))
+    hyps = [(u, v, NEG_TOKEN) if neg else (u, v) for u, v, neg in zip(*content.T.tolist(), z)]
+    for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
+        y[r], z[r], premises[r], hyps[r] = draw(Stream(int(seeds[r])))
+    return _binary(pair_rows(premises, hyps, [MASK_ID] * rows), y, z,
                    {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corruptions import CorruptionSpec, Grid, SentencePair, TokenSeq, grid_rows
+from .corruptions import CorruptionSpec, Grid, SentencePair, grid_rows, pair_rows
 from .errors import ConfigError
 from .exact import (
     BINARY_INPUTS,
@@ -792,7 +792,6 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
     depends on the covariate kind)."""
     if len(dataset) == 0:
         raise ConfigError("refusing to save an empty dataset")
-    os.makedirs(dir_path, exist_ok=True)
     first = dataset.covariates[0]
     meta = {
         "n": len(dataset),
@@ -820,12 +819,17 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
             words.append(len(pair.hypothesis.tokens))
             words.extend(pair.hypothesis.tokens)
         meta |= {"kind": "pair"}
-        payload = np.array(words, dtype="<i4")
+        try:
+            payload = np.array(words, dtype="<i4")
+        except OverflowError:
+            raise ConfigError("a pair payload holds 32-bit words: token and mask ids "
+                              f"must be at most {2**31 - 1} to be saved") from None
     else:
         arr = np.array([np.asarray(c, dtype=np.float64).ravel()
                         for c in dataset.covariates])
         meta |= {"kind": "vector", "dim": int(arr.shape[1])}
         payload = arr.astype("<f8", copy=False)
+    os.makedirs(dir_path, exist_ok=True)
     with open(os.path.join(dir_path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -868,23 +872,22 @@ def load_dataset(dir_path: str) -> Dataset:
         covs = grid_rows(arr, unit_range=unit_range)
     elif kind == "pair":
         words = _payload(payload, "<i4", (len(payload) // 4,), data_path).tolist()
-        at = 0
-
-        def take(count: int) -> list:
-            nonlocal at
-            if count < 0 or at + count > len(words):
-                raise ConfigError(f"{data_path}: pair payload ends early")
-            at += count
-            return words[at - count : at]
-
-        covs = []
+        # each pair: its mask id, then each sentence's length and tokens
+        masks, seqs, at = [], [], 0
         for _ in range(n):
-            (mask_id,) = take(1)
-            prem = tuple(take(take(1)[0]))
-            hyp = tuple(take(take(1)[0]))
-            covs.append(SentencePair(TokenSeq(prem, mask_id), TokenSeq(hyp, mask_id)))
+            if at >= len(words):
+                raise ConfigError(f"{data_path}: pair payload ends early")
+            masks.append(words[at])
+            at += 1
+            for _sentence in range(2):
+                if at >= len(words) or not 0 <= words[at] < len(words) - at:
+                    raise ConfigError(f"{data_path}: pair payload ends early")
+                count = words[at]
+                seqs.append(tuple(words[at + 1 : at + 1 + count]))
+                at += 1 + count
         if at != len(words):
             raise ConfigError("trailing data in pair payload")
+        covs = pair_rows(seqs[0::2], seqs[1::2], masks)
     elif kind == "vector":
         dim = _field(meta, "dim", int, meta_path)
         arr = _payload(payload, "<f8", (n, dim), data_path)

@@ -28,6 +28,7 @@ from semcorrupt.corruptions import (
     intensity_filter_rows,
     ngram_randomize,
     ngram_source,
+    pair_rows,
     patch_randomize,
     patch_rows,
     roi_mask,
@@ -35,7 +36,7 @@ from semcorrupt.corruptions import (
 )
 from semcorrupt.errors import DispatchError
 from semcorrupt import scams
-from semcorrupt.families import Dataset
+from semcorrupt.families import Dataset, synthetic_nli_task
 from semcorrupt.learner import FeatureSpec, featurize
 from semcorrupt.rng import Stream, derive_seed, derive_seeds
 from semcorrupt.scams import FeatureStore, corrupted_features
@@ -48,6 +49,7 @@ from reference import (
     ref_derive_seed,
     ref_freq_filter,
     ref_gauss_noise,
+    ref_nli_example,
     ref_ngram_bucket,
     ref_permutation,
     ref_seed_with_word,
@@ -186,6 +188,62 @@ def test_rejected_word_in_the_redraw_path():
     fs = FeatureSpec("bag_of_ngrams", ngram=2, buckets=32)
     expect = np.array([ref_row(fs, c) for c in want])
     assert np.array_equal(corrupted_features(dataset(covs), spec, fs), expect)
+
+
+# ---------------------------------------------------------------------------
+# NLI generation and the sentence-pair builder
+
+
+def assert_nli_matches_reference(seed: int, n: int, rho: float, flip: bool) -> None:
+    ds = synthetic_nli_task(rho, n, seed, flip)
+    assert len(ds) == n
+    for i, pair in enumerate(ds.covariates):
+        y, z, premise, hyp = ref_nli_example(seed, i, rho, flip)
+        assert (ds.labels[i], ds.nuisances[i]) == (y, z)
+        assert (pair.premise.tokens, pair.hypothesis.tokens) == (premise, hyp)
+        assert pair == SentencePair(TokenSeq(premise), TokenSeq(hyp))
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 40), st.booleans(),
+       st.one_of(st.integers(-(2**65), -1), st.integers(2**64, 2**66), seeds))
+@KERNEL
+def test_nli_examples_match_reference(rho, n, flip, seed):
+    assert_nli_matches_reference(seed, n, rho, flip)
+
+
+@pytest.mark.parametrize("index", [0, 5])
+@pytest.mark.parametrize("position", [3, 4, 5, 6, 8, 9])
+def test_nli_redraws_rejected_row(position, index):
+    """Word ``position`` of example ``index`` is 2**64 - 1, which each of
+    below(12), below(11), below(10), below(9) (words 3-6), below(7) (word
+    8) and below(5) (word 9) rejects; below(8) (word 7) rejects none."""
+    target = ref_seed_with_word(MASK64, position)
+    seed = ref_derive_preimage(target, index)
+    assert ref_derive_seed(seed, index) == target
+    assert_nli_matches_reference(seed, 11, 0.8, position % 2 == 0)
+
+
+def test_pair_rows_equal_validated_pairs():
+    premises = [(1, 2, 3), (), (2**63, 7)]
+    hypotheses = [(4,), (5, 6), ()]
+    masks = [0, 9, 2**40]
+    got = pair_rows(premises, hypotheses, masks)
+    want = [SentencePair(TokenSeq(p, m), TokenSeq(h, m))
+            for p, h, m in zip(premises, hypotheses, masks)]
+    assert got == want
+    assert [hash(g) for g in got] == [hash(w) for w in want]
+    assert all(type(t) is int for g in got for t in g.premise.tokens + g.hypothesis.tokens)
+    assert pair_rows([], [], []) == []
+
+
+@pytest.mark.parametrize("premises,hypotheses,masks,message", [
+    ([(1,), (2, -1)], [(), ()], [0, 0], "token ids must be non-negative"),
+    ([(1,), (2,)], [(), (-3,)], [0, 0], "token ids must be non-negative"),
+    ([(1,), (2,)], [(), ()], [0, -1], "mask id must be non-negative"),
+])
+def test_pair_rows_reject_negative_ids(premises, hypotheses, masks, message):
+    with pytest.raises(ValueError, match=message):
+        pair_rows(premises, hypotheses, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -110,3 +110,18 @@ def test_non_finite_vector_payload_exits_2(saved, tmp_path, capsys, command, val
     payload.write_bytes(bytes(values))
     assert main(_commands(tmp_path, "vector")[command]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+# a pair payload starts: mask id, premise length, premise tokens, ...
+@pytest.mark.parametrize("command", ["train", "eval", "corrupt"])
+@pytest.mark.parametrize("word,message", [(2, "token ids must be non-negative"),
+                                          (0, "mask id must be non-negative"),
+                                          (1, "pair payload ends early")])
+def test_negative_pair_word_exits_2(saved, tmp_path, capsys, command, word, message):
+    shutil.copytree(saved / "nli", tmp_path, dirs_exist_ok=True)
+    payload = tmp_path / "data" / "data.bin"
+    words = bytearray(payload.read_bytes())
+    words[4 * word:4 * word + 4] = struct.pack("<i", -1)
+    payload.write_bytes(bytes(words))
+    assert main(_commands(tmp_path, "nli")[command]) == 2
+    assert message in capsys.readouterr().err

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semcorrupt.corruptions import CorruptionSpec, Grid, grid_rows
+from semcorrupt.corruptions import CorruptionSpec, Grid, SentencePair, TokenSeq, grid_rows
 from semcorrupt.errors import ConfigError, DispatchError
 from semcorrupt.exact import enumerate_binary_predictors
 from semcorrupt.families import (
@@ -897,6 +897,36 @@ class TestDatasetIO:
         loaded = load_dataset(str(tmp_path))
         assert_datasets_equal(loaded, ds)
         assert list(loaded.covariates) == list(ds.covariates)
+
+    @pytest.mark.parametrize("damage,message", [
+        ("append", "trailing data in pair payload"),
+        ("drop_last_pair", "pair payload ends early"),
+        ("long_hypothesis", "pair payload ends early"),
+    ])
+    def test_pair_payload_walk_errors(self, tmp_path, damage, message):
+        ds = synthetic_nli_task(0.9, 3, 5)
+        save_dataset(ds, str(tmp_path))
+        data = tmp_path / "data.bin"
+        words = list(np.frombuffer(data.read_bytes(), dtype="<i4"))
+        # each pair is its mask id, then each sentence's length and tokens
+        sizes = [3 + len(p.premise) + len(p.hypothesis) for p in ds.covariates]
+        if damage == "append":
+            words.append(0)
+        elif damage == "drop_last_pair":
+            words = words[:-sizes[-1]]
+        else:
+            words[sizes[0] + 2 + len(ds.covariates[1].premise)] = 10**6
+        data.write_bytes(np.array(words, dtype="<i4").tobytes())
+        with pytest.raises(ConfigError, match=message):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("tokens,mask_id", [((2**31, 1), 0), ((5, 1), 2**31)])
+    def test_pair_id_past_32_bits_rejected_before_writing(self, tmp_path, tokens, mask_id):
+        pair = SentencePair(TokenSeq(tokens, mask_id), TokenSeq((2,), mask_id))
+        out = tmp_path / "data"
+        with pytest.raises(ConfigError, match=str(2**31 - 1)):
+            save_dataset(Dataset([pair], [0], 2), str(out))
+        assert not out.exists()
 
     def test_empty_dataset_rejected(self, tmp_path):
         empty = Dataset([], np.zeros(0, dtype=np.int64), 2)
