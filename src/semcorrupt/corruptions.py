@@ -16,7 +16,7 @@ import numpy as np
 from numpy import fft   # loaded with this module, so a sweep's forked workers inherit it
 
 from .errors import DispatchError, SizingError
-from .rng import (Stream, as_words, below_words, box_muller, derive_seed, derive_seeds,
+from .rng import (Stream, as_words, below_rows, box_muller, derive_seed, derive_seeds,
                   stream_words, uniform_words)
 
 
@@ -156,9 +156,9 @@ def swap_down(order: np.ndarray, draws: np.ndarray) -> None:
 
 def patch_rows(values: np.ndarray, patch: int, seeds: np.ndarray) -> np.ndarray:
     """Batch form of :func:`patch_randomize`: row ``r`` shuffles its patches
-    with ``Stream(seeds[r]).shuffle``.  The draws of all rows are one array
-    and each Fisher-Yates step swaps across all rows at once; a row with a
-    word that ``below`` rejects is shuffled again by the scalar stream.
+    with ``Stream(seeds[r]).shuffle``.  The draws of all rows come from
+    :func:`~semcorrupt.rng.below_rows` and each Fisher-Yates step swaps
+    across all rows at once.
 
     The values move as one gather of patch-row runs (``patch * c``
     contiguous values each): output run ``(r, i, y, j)`` reads source run
@@ -171,13 +171,8 @@ def patch_rows(values: np.ndarray, patch: int, seeds: np.ndarray) -> np.ndarray:
         raise SizingError(f"patch {patch} must divide height {h} and width {w}")
     ph, pw = h // patch, w // patch
     count = ph * pw
-    draws, accepted = below_words(stream_words(seeds, count - 1), np.arange(count, 1, -1))
     perm = np.tile(np.arange(count), (rows, 1))
-    swap_down(perm, draws.astype(np.int64))
-    for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
-        order = list(range(count))
-        Stream(int(seeds[r])).shuffle(order)
-        perm[r] = order
+    swap_down(perm, below_rows(seeds, np.arange(count, 1, -1)))
     p_i, p_j = np.divmod(perm.reshape(rows, ph, 1, pw), pw)
     row_base = np.arange(rows).reshape(rows, 1, 1, 1) * ph
     src = ((row_base + p_i) * patch + np.arange(patch).reshape(patch, 1)) * pw + p_j
@@ -352,17 +347,6 @@ def segment_seeds(seed: int, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
     return derive_seeds(derive_seeds(seed, rows), tags)
 
 
-def _block_order(full: int, rest: int, seed: int) -> list:
-    """Scalar draw of the block order: full blocks in order, the remainder
-    block (id ``full``) inserted at ``below(full + 1)``, then Fisher-Yates."""
-    stream = Stream(seed)
-    order = list(range(full))
-    if rest:
-        order.insert(stream.below(full + 1), full)
-    stream.shuffle(order)
-    return order
-
-
 def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
     """Batch form of :func:`ngram_randomize` on token segments laid end to
     end: segment ``s`` has ``lengths[s]`` tokens and shuffles with
@@ -370,9 +354,8 @@ def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
     input token that lands there.
 
     Segments of one length share their block layout, so their draws are one
-    array and each Fisher-Yates step swaps across all of them at once.  A
-    segment with a word that ``below`` rejects is drawn again by the scalar
-    stream.
+    :func:`~semcorrupt.rng.below_rows` call and each Fisher-Yates step swaps
+    across all of them at once.
     """
     if n < 1:
         raise SizingError("n must be >= 1")
@@ -386,8 +369,7 @@ def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
         blocks = full + (rest > 0)
         # below(full + 1) places the remainder, then below(i + 1) for i = blocks-1 .. 1
         bounds = [full + 1] * (rest > 0) + list(range(blocks, 1, -1))
-        draws, accepted = below_words(stream_words(seeds[rows], len(bounds)), bounds)
-        draws = draws.astype(np.int64)
+        draws = below_rows(seeds[rows], bounds)
         slot = np.arange(blocks)
         if rest:
             at = draws[:, :1]
@@ -396,8 +378,6 @@ def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
         else:
             order = np.tile(slot, (len(rows), 1))
         swap_down(order, draws)
-        for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
-            order[r] = _block_order(full, rest, int(seeds[rows[r]]))
         # token offsets of each block; -1 past the end of the remainder block
         offsets = np.arange(blocks * n).reshape(blocks, n)
         offsets[offsets >= length] = -1
@@ -456,7 +436,7 @@ def _shuffle_sentences(pair: SentencePair, n: int, seed: int) -> SentencePair:
 @dataclass(frozen=True)
 class Kind:
     """A corruption kind: short label, parameter check (None: no parameter),
-    accepted covariate classes, whether the output depends on the seed,
+    the covariate classes it takes, whether the output depends on the seed,
     ``run(covariate, param, seed)`` and, for the grid kinds that have one,
     the batch kernel ``batch(values, param, seeds)`` over (rows, h, w, c)
     values, run by :func:`apply_rows`.  Both look their transform up by

@@ -18,7 +18,8 @@ import numpy as np
 
 from .corruptions import GRID_CHUNK, grid_rows, pair_rows, swap_down
 from .exact import JointTable
-from .rng import Stream, below_words, box_muller, derive_seeds, stream_words, uniform_words
+from .rng import (GOLDEN, MASK64, Stream, below_rows, box_muller, derive_seeds, stream_words,
+                  uniform_words)
 
 
 @dataclass(frozen=True)
@@ -380,13 +381,13 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
     by shuffling tokens.  NEG appears in the hypothesis with probability rho
     when the label is 0 (1 - rho when 1); ``flip`` swaps those rates.
 
-    Example ``i`` draws from ``Stream(derive_seed(seed, i))``, and all
-    examples' nine words are one array: word 1 is ``y = below(2)``, word 2
-    the NEG uniform, words 3-8 the partial Fisher-Yates draws ``below(12)``
-    .. ``below(7)`` that pick the premise, and word 9 ``below(5)``, the
-    adjacent pair.  ``below`` can reject words 3-6, 8 and 9 (its bound is
-    not a power of two there); an example with a rejected word is drawn
-    again by the scalar stream, which goes on to the next word.
+    Example ``i`` draws from ``Stream(derive_seed(seed, i))``, all
+    examples at once: word 1 is ``y = below(2)``, word 2 the NEG uniform,
+    then the partial Fisher-Yates draws ``below(12)`` .. ``below(7)`` that
+    pick the premise and ``below(5)``, the adjacent pair.  Those seven draws
+    are one :func:`~semcorrupt.rng.below_rows` call on the streams seeded
+    ``derive_seed(seed, i) + 2 * GOLDEN``, whose word ``k`` is word ``k + 2``
+    of the example's stream.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
@@ -395,27 +396,13 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
         p = np.where(y == 0, rho, 1.0 - rho)
         return 1.0 - p if flip else p
 
-    def draw(stream: Stream) -> tuple:
-        y = stream.below(2)
-        z = 1 if stream.uniform() < p_neg(y) else 0
-        pool = list(range(1, CONTENT_VOCAB + 1))
-        for j in range(PREMISE_LEN):
-            k = j + stream.below(CONTENT_VOCAB - j)
-            pool[j], pool[k] = pool[k], pool[j]
-        premise = tuple(sorted(pool[:PREMISE_LEN]))
-        at = stream.below(PREMISE_LEN - 1)
-        u, v = premise[at], premise[at + 1]
-        content = (u, v) if y == 1 else (v, u)
-        return y, z, premise, content + (NEG_TOKEN,) if z else content
-
     seeds = derive_seeds(seed, np.arange(n))
     rows = len(seeds)
-    words = stream_words(seeds, 2 + len(_NLI_BOUNDS))
+    words = stream_words(seeds, 2)
     # below(2) takes one word and never rejects it: 2**64 % 2 == 0
     y = (words[:, 0] % np.uint64(2)).astype(np.int64)
     z = (uniform_words(words[:, 1]) < p_neg(y)).astype(np.int64)
-    draws, accepted = below_words(words[:, 2:], _NLI_BOUNDS)
-    draws = draws.astype(np.int64)
+    draws = below_rows(seeds + np.uint64((2 * GOLDEN) & MASK64), _NLI_BOUNDS)
     # step j swaps pool[j] with pool[j + draws[:, j]]; on the pool reversed,
     # that is Fisher-Yates from the top down, which swap_down runs
     top = CONTENT_VOCAB - 1 - np.arange(PREMISE_LEN)
@@ -428,7 +415,5 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
     # tuples zipped from columns, with no list per row on the way
     premises = list(zip(*premise.T.tolist()))
     hyps = [(u, v, NEG_TOKEN) if neg else (u, v) for u, v, neg in zip(*content.T.tolist(), z)]
-    for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
-        y[r], z[r], premises[r], hyps[r] = draw(Stream(int(seeds[r])))
     return _binary(pair_rows(premises, hyps, [MASK_ID] * rows), y, z,
                    {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})

@@ -515,11 +515,9 @@ class TheoryReport:
         return [c.line() for c in self.checks]
 
 
-def check_predictor_table(rows=None) -> CheckResult:
+def check_predictor_table(rows) -> CheckResult:
     """Compare the enumerated accuracies against the frozen reference and
     name every offending cell."""
-    if rows is None:
-        rows = enumerate_binary_predictors()
     bad = []
     for row, want in zip(rows, REFERENCE_PREDICTOR_TABLE):
         for fname, got, exp in (
@@ -535,9 +533,7 @@ def check_predictor_table(rows=None) -> CheckResult:
                        f"16 rows match within {TABLE_TOL:g}")
 
 
-def check_stable_argmax(rows=None) -> CheckResult:
-    if rows is None:
-        rows = enumerate_binary_predictors()
+def check_stable_argmax(rows) -> CheckResult:
     best = max(r.min_acc for r in rows)
     winners = [r.index for r in rows if r.min_acc == best]
     ok = winners == [STABLE_PREDICTOR_INDEX]
@@ -827,6 +823,8 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
     else:
         arr = np.array([np.asarray(c, dtype=np.float64).ravel()
                         for c in dataset.covariates])
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError("refusing to save a vector dataset with non-finite values")
         meta |= {"kind": "vector", "dim": int(arr.shape[1])}
         payload = arr.astype("<f8", copy=False)
     os.makedirs(dir_path, exist_ok=True)

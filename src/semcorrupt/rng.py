@@ -19,7 +19,9 @@ Sub-seeds for per-example or per-epoch randomness come from
 Word ``k`` (from 1) of the stream seeded ``s`` is ``mix64(s + k * GOLDEN)``,
 a pure function of (seed, counter), so batches of words, of sub-seeds
 (:func:`derive_seeds`) and of ``below`` draws are computed as arrays with the
-same bits as the scalar loops.
+same bits as the scalar loops.  :func:`below_rows` draws a batch of ``below``
+sequences, one per seed, and takes a row with a rejected word from the
+scalar stream.
 """
 
 from __future__ import annotations
@@ -99,6 +101,22 @@ def below_words(words: np.ndarray, bounds) -> tuple:
     bounds = as_words(bounds)
     wrap = (np.uint64(MASK64) % bounds + np.uint64(1)) % bounds   # 2**64 % bound
     return words % bounds, words <= np.uint64(MASK64) - wrap
+
+
+def below_rows(seeds: np.ndarray, bounds) -> np.ndarray:
+    """``Stream(seed).below(b)`` for each ``b`` of ``bounds`` in order, one
+    int64 row per seed.  The words are one array; a row with a word that
+    ``below`` rejects takes its draws from the scalar stream.  Every bound
+    must be at least 2: ``below(1)`` takes no word."""
+    if np.any(np.less(bounds, 2)):
+        raise ValueError("below_rows() needs every bound >= 2")
+    seeds, bounds = as_words(seeds), as_words(bounds)
+    draws, accepted = below_words(stream_words(seeds, len(bounds)), bounds)
+    draws = draws.astype(np.int64)
+    for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
+        stream = Stream(int(seeds[r]))
+        draws[r] = [stream.below(b) for b in bounds.tolist()]
+    return draws
 
 
 def uniform_words(words: np.ndarray) -> np.ndarray:

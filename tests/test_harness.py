@@ -928,6 +928,13 @@ class TestDatasetIO:
             save_dataset(Dataset([pair], [0], 2), str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_vector_rejected_before_writing(self, tmp_path, bad):
+        out = tmp_path / "data"
+        with pytest.raises(ConfigError, match="non-finite"):
+            save_dataset(Dataset([(1.0, bad), (0.5, 2.0)], [0, 1], 2), str(out))
+        assert not out.exists()
+
     def test_empty_dataset_rejected(self, tmp_path):
         empty = Dataset([], np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(ConfigError):

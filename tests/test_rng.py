@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semcorrupt.rng import GOLDEN, MASK64, Stream, derive_seed, mix64
+from semcorrupt.rng import GOLDEN, MASK64, Stream, below_rows, derive_seed, mix64
 
-from reference import RefStream, ref_derive_seed, ref_mix64, ref_permutation
+from reference import RefStream, ref_derive_seed, ref_mix64, ref_permutation, ref_seed_with_word
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,46 @@ def test_below_rejects_nonpositive():
         Stream(0).below(0)
     with pytest.raises(ValueError):
         Stream(0).below(-3)
+
+
+def ref_below_row(seed: int, bounds: list) -> list:
+    ref = RefStream(seed)
+    return [ref.below(b) for b in bounds]
+
+
+@given(st.lists(st.integers(-(2**65), 2**65), min_size=1, max_size=6),
+       st.lists(st.integers(2, 2**63), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_below_rows_match_oracle(seeds, bounds):
+    got = below_rows(seeds, bounds)
+    assert got.dtype == np.int64
+    assert got.tolist() == [ref_below_row(s, bounds) for s in seeds]
+
+
+# no bound is a power of two, so each rejects the word 2**64 - 1
+REJECTING_BOUNDS = [3, 12, 5, 2**63 - 1, 7, 1000, 2**40 + 1, 6]
+
+
+@pytest.mark.parametrize("column", range(len(REJECTING_BOUNDS)))
+def test_below_rows_redraw_rejected_row(column):
+    crafted = ref_seed_with_word(MASK64, column + 1)
+    seeds = [0, crafted, -5, 2**64 + 3]
+    got = below_rows(seeds, REJECTING_BOUNDS)
+    assert got.tolist() == [ref_below_row(s, REJECTING_BOUNDS) for s in seeds]
+    # the crafted row rejects one word, so its draws take one word more
+    ref = RefStream(crafted)
+    assert [ref.below(b) for b in REJECTING_BOUNDS] == got[1].tolist()
+    assert ref.state == (crafted + (len(REJECTING_BOUNDS) + 1) * GOLDEN) & MASK64
+
+
+def test_below_rows_empty_bounds_draw_nothing():
+    assert below_rows([3, -1], []).shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [1, 0])
+def test_below_rows_reject_bounds_below_two(bad):
+    with pytest.raises(ValueError):
+        below_rows([7], [5, bad, 3])
 
 
 def test_below_roughly_uniform():
