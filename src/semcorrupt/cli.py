@@ -64,9 +64,11 @@ def _cmd_gen(args) -> int:
 def _cmd_corrupt(args) -> int:
     ds = load_dataset(args.src)
     spec = CorruptionSpec(args.kind, args.param, args.seed)
+    source = ds.provenance
+    if "corruption" in source:   # a chained corruption keeps the earlier record whole
+        source = {"source": source}
     out = replace(ds, covariates=apply_all(spec, ds.covariates),
-                  provenance=ds.provenance | {"corruption": spec.label,
-                                              "corruption_seed": spec.seed})
+                  provenance=source | {"corruption": spec.label, "corruption_seed": spec.seed})
     save_dataset(out, args.out)
     print(f"applied {spec.label} to {len(ds)} examples -> {args.out}")
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corruptions import Grid, ngram_source, segment_seeds, token_segments
 from .errors import DispatchError, TrainingError
-from .rng import Stream, as_words, derive_seed, derive_seeds
+from .rng import Stream, as_words, below_rows, derive_seed, derive_seeds
 
 _SHUFFLE_TAG = 101
 _INIT_TAG = 102
@@ -330,14 +330,18 @@ class TrainConfig:
             raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
 
-def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int) -> list:
-    """Batch index arrays for one epoch; the permutation depends only on
-    (seed, epoch) so distinct loops can reproduce each other's schedule."""
+def minibatch_plan(n: int, batch_size: int, seed: int, epoch: int) -> tuple:
+    """Batch index arrays for one epoch: views of one read-only order array in
+    the smallest unsigned dtype.  The order is ``Stream(derive_seed(seed,
+    _SHUFFLE_TAG, epoch)).shuffle`` of ``range(n)`` drawn as one :func:`below_rows`
+    row, so distinct loops with the same (seed, epoch) share a schedule."""
     order = list(range(n))
-    if n > 1:
-        Stream(derive_seed(seed, _SHUFFLE_TAG, epoch)).shuffle(order)
-    order = np.array(order, dtype=np.int64)
-    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+    draws = below_rows(derive_seed(seed, _SHUFFLE_TAG, epoch), np.arange(n, 1, -1))[0]
+    for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
+        order[i], order[j] = order[j], order[i]
+    order = np.array(order, dtype=np.min_scalar_type(n))
+    order.flags.writeable = False
+    return tuple(order[s : s + batch_size] for s in range(0, n, batch_size))
 
 
 def sgd(cfg: TrainConfig, X: np.ndarray, step, features_for_epoch=None,

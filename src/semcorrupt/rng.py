@@ -19,9 +19,9 @@ Sub-seeds for per-example or per-epoch randomness come from
 Word ``k`` (from 1) of the stream seeded ``s`` is ``mix64(s + k * GOLDEN)``,
 a pure function of (seed, counter), so batches of words, of sub-seeds
 (:func:`derive_seeds`) and of ``below`` draws are computed as arrays with the
-same bits as the scalar loops.  :func:`below_rows` draws a batch of ``below``
-sequences, one per seed, and takes a row with a rejected word from the
-scalar stream.
+same bits as the scalar loops.  :func:`below_rows` is the one batched
+``below`` draw and the one rejected-word fallback (such a row is drawn by the
+scalar stream); patch and n-gram shuffles and minibatch plans draw through it.
 """
 
 from __future__ import annotations
@@ -94,15 +94,6 @@ def stream_words(seeds: np.ndarray, count: int) -> np.ndarray:
     return _mix64_vec(as_words(seeds)[..., np.newaxis] + steps)
 
 
-def below_words(words: np.ndarray, bounds) -> tuple:
-    """``below(bound)`` on one word each: ``(word % bound, accepted)``.  A
-    word that ``below`` rejects (at most ``bound - 1`` of the 2**64 words)
-    needs the scalar draw, which goes on to the next word."""
-    bounds = as_words(bounds)
-    wrap = (np.uint64(MASK64) % bounds + np.uint64(1)) % bounds   # 2**64 % bound
-    return words % bounds, words <= np.uint64(MASK64) - wrap
-
-
 def below_rows(seeds: np.ndarray, bounds) -> np.ndarray:
     """``Stream(seed).below(b)`` for each ``b`` of ``bounds`` in order, one
     int64 row per seed.  The words are one array; a row with a word that
@@ -111,9 +102,10 @@ def below_rows(seeds: np.ndarray, bounds) -> np.ndarray:
     if np.any(np.less(bounds, 2)):
         raise ValueError("below_rows() needs every bound >= 2")
     seeds, bounds = as_words(seeds), as_words(bounds)
-    draws, accepted = below_words(stream_words(seeds, len(bounds)), bounds)
-    draws = draws.astype(np.int64)
-    for r in np.flatnonzero(~accepted.all(axis=1)).tolist():
+    words = stream_words(seeds, len(bounds))
+    wrap = (np.uint64(MASK64) % bounds + np.uint64(1)) % bounds   # 2**64 % bound
+    draws = (words % bounds).astype(np.int64)
+    for r in np.flatnonzero((words > np.uint64(MASK64) - wrap).any(axis=1)).tolist():
         stream = Stream(int(seeds[r]))
         draws[r] = [stream.below(b) for b in bounds.tolist()]
     return draws
@@ -134,12 +126,6 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     out[..., 0::2] = r * np.cos(theta)
     out[..., 1::2] = r * np.sin(theta)
     return out
-
-
-# Shortest list Stream.shuffle draws as one array.  Best of 7 x 500 calls
-# (2 vCPU, Python 3.11, numpy 2.4), scalar loop against one array draw:
-# 16 items 10.5 us / 23 us, 32 items 28 us / 24 us, 1500 items 1.60 ms / 0.20 ms.
-_VECTOR_SHUFFLE_MIN = 32
 
 
 class Stream:
@@ -178,21 +164,10 @@ class Stream:
                 return word % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using ``below``.
-
-        From ``_VECTOR_SHUFFLE_MIN`` items on, all ``len - 1`` words are drawn
-        as one array and only the swaps loop; a rejected word sends the whole
-        shuffle to the scalar loop, which redraws from the same state."""
-        n = len(items)
-        if n >= _VECTOR_SHUFFLE_MIN:
-            js, accepted = below_words(stream_words(self._state, n - 1)[0],
-                                       np.arange(n, 1, -1))
-            if accepted.all():
-                for i, j in zip(range(n - 1, 0, -1), js.tolist()):
-                    items[i], items[j] = items[j], items[i]
-                self._state = (self._state + GOLDEN * (n - 1)) & MASK64
-                return
-        for i in range(n - 1, 0, -1):
+        """In-place Fisher-Yates: position ``i`` swaps with ``below(i + 1)``
+        for ``i = len-1 .. 1``, drawn one at a time, so the stream is left
+        where those scalar draws leave it."""
+        for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 

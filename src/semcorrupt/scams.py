@@ -69,8 +69,8 @@ class FeatureStore:
       matrices too large to keep, computed on each request, a grid kind with
       a batch kernel on grids of one shape as one :func:`apply_rows` call
       over the clean features;
-    * :meth:`plan`, each :func:`minibatch_plan`, its batches as views of
-      one index array in the smallest unsigned dtype.
+    * :meth:`plan`, each :func:`minibatch_plan` as it is drawn: its batches
+      are views of its own read-only order array.
 
     Every ``run_*`` routine takes a store; a sweep builds one per training
     set and passes it to every method."""
@@ -129,10 +129,7 @@ class FeatureStore:
         """:func:`minibatch_plan`'s batches for these arguments."""
         key = (n, batch_size, seed, epoch)
         if key not in self._plans:
-            batches = minibatch_plan(n, batch_size, seed, epoch)
-            order = _read_only(np.concatenate(batches).astype(np.min_scalar_type(n)))
-            self._plans[key] = tuple(order[s : s + batch_size]
-                                     for s in range(0, n, batch_size))
+            self._plans[key] = minibatch_plan(n, batch_size, seed, epoch)
         return self._plans[key]
 
 

@@ -106,6 +106,18 @@ class TestPipeline:
         assert {"group", "accuracy", "n"} <= set(rec["groups"][0])
         assert sum(g["n"] for g in rec["groups"]) == 120
 
+    def test_chained_corrupt_keeps_earlier_provenance(self, image_dir, tmp_path):
+        first, second = str(tmp_path / "pr8"), str(tmp_path / "ff30")
+        assert main(["corrupt", "--in", image_dir, "--kind", "patch_randomize",
+                     "--param", "8", "--seed", "7", "--out", first]) == 0
+        assert main(["corrupt", "--in", first, "--kind", "freq_filter",
+                     "--param", "30", "--seed", "3", "--out", second]) == 0
+        once = load_dataset(first).provenance
+        assert once == load_dataset(image_dir).provenance | {"corruption": "pr8",
+                                                             "corruption_seed": 7}
+        assert load_dataset(second).provenance == {"source": once, "corruption": "ff30",
+                                                   "corruption_seed": 3}
+
     def test_eval_human_readable(self, image_dir, tmp_path, capsys):
         model_path = str(tmp_path / "model.bin")
         assert main(["train", "--in", image_dir, "--out", model_path,

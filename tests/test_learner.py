@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from semcorrupt import learner
 from semcorrupt.corruptions import Grid, SentencePair, TokenSeq
 from semcorrupt.errors import DispatchError, TrainingError
 from semcorrupt.learner import (
@@ -25,7 +27,15 @@ from semcorrupt.learner import (
     train,
 )
 
-from reference import central_difference, max_relative_error, ref_ngram_bucket
+from reference import (
+    MASK64,
+    central_difference,
+    max_relative_error,
+    ref_derive_seed,
+    ref_ngram_bucket,
+    ref_permutation,
+    ref_seed_with_word,
+)
 
 RNG = np.random.default_rng(20240818)
 
@@ -405,6 +415,33 @@ class TestMinibatchPlan:
     def test_oversized_batch(self):
         plan = minibatch_plan(3, 100, seed=0, epoch=0)
         assert len(plan) == 1 and len(plan[0]) == 3
+
+    @staticmethod
+    def assert_plan(n, batch_size, seed, epoch, want):
+        """The plan is ``want`` cut into batches, each a read-only view of
+        one order array in the smallest unsigned dtype."""
+        plan = minibatch_plan(n, batch_size, seed, epoch)
+        assert [b.tolist() for b in plan] == [want[s : s + batch_size]
+                                              for s in range(0, n, batch_size)]
+        if plan:
+            order = plan[0].base
+            assert order.tolist() == want and order.dtype == np.min_scalar_type(n)
+            assert not order.flags.writeable
+            assert all(b.base is order and not b.flags.writeable for b in plan)
+
+    @given(st.integers(0, 2000), st.integers(1, 70), st.integers(-2**65, 2**65),
+           st.integers(-2**65, 2**65))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_shuffle(self, n, batch_size, seed, epoch):
+        want = ref_permutation(n, ref_derive_seed(seed, 101, epoch))
+        self.assert_plan(n, batch_size, seed, epoch, want)
+
+    @pytest.mark.parametrize("position", [1, 7])
+    def test_rejected_word_redrawn(self, monkeypatch, position):
+        # word `position` of this stream is 2**64 - 1, which below(41 - position) rejects
+        seed = ref_seed_with_word(MASK64, position)
+        monkeypatch.setattr(learner, "derive_seed", lambda *parts: seed)
+        self.assert_plan(40, 16, 0, 0, ref_permutation(40, seed))
 
 
 class TestTrainConfig:
