@@ -2,19 +2,22 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
 configuration (bad numbers, damaged dataset or model files, non-finite
-vector data), 3 runtime failure (diverged training, unreadable files,
-undefined reweighting, a request too large to allocate, a ``report``
-sweep with a failed (method, seed) cell).  An oversized count (``gen --n``,
-``--hidden``, a dataset's class count) is a bad number, exit 2, when numpy
-cannot index an array that large (about 10**30), and exit 3 when numpy can
-index it but the machine cannot hold it (about 10**14).
+vector data), 3 runtime failure (diverged training, unreadable files or
+unwritable output paths, undefined reweighting, a request too large to
+allocate, a ``report`` sweep with a failed (method, seed) cell).  An
+oversized count (``gen --n``, ``--hidden``, a dataset's class count) is a
+bad number, exit 2, when numpy cannot index an array that large (about
+10**30), and exit 3 when numpy can index it but the machine cannot hold it
+(about 10**14).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
@@ -121,26 +124,42 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@contextmanager
+def _output(path):
+    """``path`` (or None) opened for writing before the work that fills it,
+    so an unwritable path fails before that work is done; the file is
+    removed again if the work raises."""
+    if path is None:
+        yield None
+        return
+    with open(path, "w") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.unlink(path)
+            raise
+
+
 def _cmd_verify(args) -> int:
-    report = verify_theory(args.fuzz, args.seed)
-    for line in report.lines():
-        print(line)
-    if args.table:
-        with open(args.table, "w") as fh:
-            fh.write(predictor_table_csv())
+    with _output(args.table) as table:
+        report = verify_theory(args.fuzz, args.seed)
+        for line in report.lines():
+            print(line)
+        if table:
+            table.write(predictor_table_csv())
+    if table:
         print(f"wrote predictor table to {args.table}")
     return 0 if report.ok else 1
 
 
 def _cmd_report(args) -> int:
     config, methods = TASKS[args.task].preset(tuple(range(args.seeds)))
-    result = run_experiment(config, methods)
-    csv = result.to_csv()
-    with open(args.out, "w") as fh:
-        fh.write(csv)
-    if args.per_seed:
-        with open(args.per_seed, "w") as fh:
-            fh.write(result.per_seed_csv())
+    with _output(args.out) as out, _output(args.per_seed) as per_seed:
+        result = run_experiment(config, methods)
+        out.write(result.to_csv())
+        if per_seed:
+            per_seed.write(result.per_seed_csv())
     summ = result.summary()
     for m in methods:
         acc = summ[m.label]["test_flipped"].get("accuracy")

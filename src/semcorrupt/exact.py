@@ -207,13 +207,28 @@ def nuisance_randomize(p, rho: float = None) -> JointTable:
     return JointTable(("y", "z", "x"), out)
 
 
-def _pushforward(cells: Mapping, corruption: FiniteCorruption):
-    """``(key, q, pd, t)`` for every cell and every noise value d of mass
-    pd != 0, with ``t = corruption.fn(x, d)``; x is the last variable."""
+def _images(cells: Mapping, corruption: FiniteCorruption) -> dict:
+    """x -> ``((pd, t), ...)`` over the noise values d of mass pd != 0, with
+    ``t = corruption.fn(x, d)``, for each distinct covariate x (the last
+    variable) of ``cells`` in cell order.  Each public routine builds it once
+    per call, so this is the only place ``corruption.fn`` is called and each
+    (x, d) is pushed through it once; no table outlives its call."""
+    noise = [(d, pd) for d, pd in corruption.delta_pmf.items() if pd != 0.0]
+    out: dict = {}
+    for key in cells:
+        x = key[-1]
+        if x not in out:
+            out[x] = tuple((pd, corruption.fn(x, d)) for d, pd in noise)
+    return out
+
+
+def _pushforward(cells: Mapping, images: dict):
+    """``(key, q, pd, t)`` for every cell and every ``(pd, t)`` of its
+    covariate's entry in ``images`` (:func:`_images`); x is the last
+    variable."""
     for key, q in cells.items():
-        for d, pd in corruption.delta_pmf.items():
-            if pd != 0.0:
-                yield key, q, pd, corruption.fn(key[-1], d)
+        for pd, t in images[key[-1]]:
+            yield key, q, pd, t
 
 
 def _label_posterior(post: dict, t, y) -> float:
@@ -225,11 +240,12 @@ def _label_posterior(post: dict, t, y) -> float:
     return pt
 
 
-def _posterior_given_corrupted(p: JointTable, corruption: FiniteCorruption) -> dict:
-    """p(y | t) where t = corruption(x, delta) under the training joint."""
+def _posterior_given_corrupted(p: JointTable, images: dict) -> dict:
+    """p(y | t) where t = corruption(x, delta) under the training joint,
+    the corruption given as its :func:`_images` over p's covariates."""
     joint_yt: dict = {}
     t_mass: dict = {}
-    for (y, _x), q, pd, t in _pushforward(p.marginal("y", "x").cells, corruption):
+    for (y, _x), q, pd, t in _pushforward(p.marginal("y", "x").cells, images):
         joint_yt[(y, t)] = joint_yt.get((y, t), 0.0) + q * pd
         t_mass[t] = t_mass.get(t, 0.0) + q * pd
     post: dict = {}
@@ -245,7 +261,8 @@ def biased_posterior(p: JointTable, conditioner) -> Posterior:
     the table) or a :class:`FiniteCorruption` applied to x.
     """
     if isinstance(conditioner, FiniteCorruption):
-        return Posterior(_posterior_given_corrupted(p, conditioner))
+        yx = p.marginal("y", "x").cells
+        return Posterior(_posterior_given_corrupted(p, _images(yx, conditioner)))
     return Posterior(p.posterior("y", conditioner))
 
 
@@ -255,14 +272,16 @@ def _reweighted_measure(p: JointTable, corruption: FiniteCorruption) -> dict:
     Sums to one exactly when every corrupted value leaves all labels
     possible; a leaky corruption loses mass instead.
     """
-    return _reweighted_by(p, corruption, _posterior_given_corrupted(p, corruption))
+    images = _images(p.marginal("y", "x").cells, corruption)
+    return _reweighted_by(p, images, _posterior_given_corrupted(p, images))
 
 
-def _reweighted_by(p: JointTable, corruption: FiniteCorruption, post: dict) -> dict:
-    """:func:`_reweighted_measure` given p(y | t) as ``post``."""
+def _reweighted_by(p: JointTable, images: dict, post: dict) -> dict:
+    """:func:`_reweighted_measure` given the corruption's :func:`_images`
+    and p(y | t) as ``post``."""
     y_m = p.marginal("y").cells
     out: dict = {}
-    for (y, x), q, pd, t in _pushforward(p.marginal("y", "x").cells, corruption):
+    for (y, x), q, pd, t in _pushforward(p.marginal("y", "x").cells, images):
         out[(y, x)] = out.get((y, x), 0.0) + pd * y_m[(y,)] / _label_posterior(post, t, y) * q
     return out
 
@@ -277,8 +296,9 @@ def corruption_randomize(p: JointTable, corruption: FiniteCorruption) -> JointTa
 
 def extend_with_corruption(p: JointTable, corruption: FiniteCorruption) -> JointTable:
     """Joint over (y, z, t) with t the corrupted covariate."""
+    yzx = p.marginal("y", "z", "x").cells
     out: dict = {}
-    for (y, z, _x), q, pd, t in _pushforward(p.marginal("y", "z", "x").cells, corruption):
+    for (y, z, _x), q, pd, t in _pushforward(yzx, _images(yzx, corruption)):
         out[(y, z, t)] = out.get((y, z, t), 0.0) + q * pd
     return JointTable(("y", "z", "t"), out)
 
@@ -301,18 +321,19 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption) -> BoundReport
     the report checks ``l1 <= moment * epsilon + BOUND_SLACK``.
     """
     pp = nuisance_randomize(p)
-    post_t = _posterior_given_corrupted(p, corruption)
+    images = _images(p.marginal("y", "x").cells, corruption)   # pp's covariates too
+    post_t = _posterior_given_corrupted(p, images)
     post_z = p.posterior("y", "z")
     eps2 = 0.0
     m2 = 0.0
-    for (y, z, _x), q, pd, t in _pushforward(pp.cells, corruption):
+    for (y, z, _x), q, pd, t in _pushforward(pp.cells, images):
         pt = _label_posterior(post_t, t, y)
         eps2 += q * pd * (pt - post_z[z].get(y, 0.0)) ** 2
         m2 += q * pd / (pt * pt)
     epsilon = math.sqrt(eps2)
     moment = math.sqrt(m2)
     target = pp.marginal("y", "x").cells
-    raw = _reweighted_by(p, corruption, post_t)
+    raw = _reweighted_by(p, images, post_t)
     keys = set(target) | set(raw)
     l1 = math.fsum(abs(target.get(k, 0.0) - raw.get(k, 0.0)) for k in keys)
     return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + BOUND_SLACK)

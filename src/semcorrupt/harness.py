@@ -316,19 +316,18 @@ def _train_cell(method: MethodSpec, store: FeatureStore, cfg_main: TrainConfig,
         return f"{type(exc).__name__}: {exc}"
 
 
-def _train_cells(store: FeatureStore, methods: tuple, cfg_main: TrainConfig,
-                 cfg_aux: TrainConfig, hidden: int) -> list:
-    """Every method's model or error, trained in forked worker processes,
-    one per usable CPU: worker ``k`` trains methods ``k``, ``k + workers``,
-    ... on the store it inherits (the clean features shared copy-on-write)
-    and sends their results back through a pipe, pickled.  The cells of a
-    worker that dies before sending them fail with a ``ChildProcessError``.
-    Every worker is reaped before this returns."""
-    workers = min(len(methods), len(os.sched_getaffinity(0)))
-    shares = [range(k, len(methods), workers) for k in range(workers)]
+def _forked_map(fn: Callable, items: list, died) -> list:
+    """``[fn(item) for item in items]``, computed in forked worker processes,
+    one per usable CPU: worker ``k`` maps items ``k``, ``k + workers``, ...
+    on what it inherits through the fork (shared copy-on-write) and sends
+    its results back through a pipe, pickled.  Each item of a worker that
+    dies before sending them reads as ``died``.  Every worker is reaped
+    before this returns."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    shares = [range(k, len(items), workers) for k in range(workers)]
     children = []   # (pid, the read end of its pipe)
     try:
-        for cells in shares:
+        for share in shares:
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:   # the worker: nothing may return into the caller's code
@@ -336,26 +335,35 @@ def _train_cells(store: FeatureStore, methods: tuple, cfg_main: TrainConfig,
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as sink:
-                        pickle.dump([_train_cell(methods[i], store, cfg_main, cfg_aux, hidden)
-                                     for i in cells], sink)
+                        pickle.dump([fn(items[i]) for i in share], sink)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        trained = [None] * len(methods)
-        for (_, results), cells in zip(children, shares):
+        out = [None] * len(items)
+        for (_, results), share in zip(children, shares):
             try:
                 outs = pickle.load(results)
             except (EOFError, pickle.UnpicklingError):
-                outs = ["ChildProcessError: the worker training this cell died"] * len(cells)
-            for i, out in zip(cells, outs):
-                trained[i] = out
-        return trained
+                outs = [died] * len(share)
+            for i, result in zip(share, outs):
+                out[i] = result
+        return out
     finally:
         for pid, results in children:
             results.close()
             os.waitpid(pid, 0)
+
+
+def _train_cells(store: FeatureStore, methods: tuple, cfg_main: TrainConfig,
+                 cfg_aux: TrainConfig, hidden: int) -> list:
+    """Every method's model or error, trained in forked workers
+    (:func:`_forked_map`) on the store they inherit, the clean features
+    shared copy-on-write.  The cells of a worker that dies before sending
+    them fail with a ``ChildProcessError``."""
+    return _forked_map(lambda m: _train_cell(m, store, cfg_main, cfg_aux, hidden), methods,
+                       "ChildProcessError: the worker training this cell died")
 
 
 def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
@@ -615,22 +623,50 @@ def check_factorization() -> CheckResult:
                        f"cond-indep gap {worst_ci:.3e}, randomized y-z gap {worst_ind:.3e}")
 
 
-def _fuzz_corruption(stream: Stream, family_kind: str):
-    """A random finite corruption: coordinate mask, absolute values, or (for
-    the 3d family) a coordinate permutation."""
-    dim = 3 if family_kind == "negated" else 2
+def _fuzz_params(stream: Stream) -> tuple:
+    """The scalar parameters of one fuzz draw, taken from ``stream``:
+    family kind, rho, the family's arguments, the corruption roll and (for
+    a coordinate mask) the mask."""
+    kind = ("flip", "negated", "xor")[stream.below(3)]
+    rho = 0.05 + 0.9 * stream.uniform()
+    if kind == "flip":
+        args = (1 + stream.below(2),)
+    else:
+        args = (0.8 * stream.uniform(), 4 + 2 * stream.below(3))
+    dim = 3 if kind == "negated" else 2
     roll = stream.below(3)
-    if roll == 0 and dim == 3:
-        return FiniteCorruption.coordinate_permutations(dim)
-    if roll <= 1:
+    mask = None
+    if roll == 1 or roll == 0 and dim == 2:
         keep = [stream.below(2) == 1 for _ in range(dim)]
         if not any(keep):
             keep[stream.below(dim)] = True
         mask = tuple(keep)
-        return FiniteCorruption.deterministic(
-            lambda x, m=mask: tuple(v if k else 0.0 for v, k in zip(x, m))
-        )
-    return FiniteCorruption.deterministic(lambda x: tuple(abs(v) for v in x))
+    return kind, rho, args, roll, mask
+
+
+def _fuzz_draw(params: tuple) -> tuple:
+    """Build one fuzz draw's family and corruption (a coordinate mask,
+    absolute values, or for the 3d family a coordinate permutation) and
+    check its bound: ``(excess, failure)``, the distance's excess over the
+    bound (None when no bound came out) and the failure's detail (None when
+    the bound holds)."""
+    kind, rho, args, roll, mask = params
+    family = {"flip": flip_noise_family, "negated": negated_coordinate_family,
+              "xor": xor_sign_family}[kind]
+    fam = family(*args)
+    if mask is not None:
+        corruption = FiniteCorruption.deterministic(
+            lambda x: tuple(v if k else 0.0 for v, k in zip(x, mask)))
+    elif roll == 0:
+        corruption = FiniteCorruption.coordinate_permutations(3)
+    else:
+        corruption = FiniteCorruption.deterministic(lambda x: tuple(abs(v) for v in x))
+    try:
+        rep = corruption_bound(fam.joint(rho), corruption)
+    except Exception as exc:
+        return None, f"{fam.name} rho={rho:.3f}: {type(exc).__name__}"
+    margin = rep.moment * rep.epsilon + BOUND_SLACK - rep.l1
+    return -margin, None if rep.holds else f"{fam.name} rho={rho:.3f}: l1 {rep.l1:.3e} > bound"
 
 
 def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
@@ -638,35 +674,26 @@ def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:
     must obey the moment-times-epsilon bound every time.
 
     rho stays inside [0.05, 0.95] and the mean shifts are capped so no
-    observed posterior degenerates below the reweighting floor.
+    observed posterior degenerates below the reweighting floor.  This
+    process draws only the scalar parameters, in draw order; forked workers
+    (:func:`_forked_map`) build each family and corruption and check it, and
+    the results are folded back in draw order, so the note does not depend
+    on the number of workers.  A draw whose worker died is a violation
+    named ``ChildProcessError``.
     """
     if count < 1:
         raise ConfigError(f"fuzz draw count must be >= 1, got {count}")
     stream = Stream(derive_seed(seed, 777))
+    draws = [_fuzz_params(stream) for _ in range(count)]
     worst_margin = -math.inf
-    failures = 0
     details = []
-    for _ in range(count):
-        kind = ("flip", "negated", "xor")[stream.below(3)]
-        rho = 0.05 + 0.9 * stream.uniform()
-        if kind == "flip":
-            fam = flip_noise_family(1 + stream.below(2))
-        elif kind == "negated":
-            fam = negated_coordinate_family(0.8 * stream.uniform(), 4 + 2 * stream.below(3))
-        else:
-            fam = xor_sign_family(0.8 * stream.uniform(), 4 + 2 * stream.below(3))
-        corruption = _fuzz_corruption(stream, kind)
-        try:
-            rep = corruption_bound(fam.joint(rho), corruption)
-        except Exception as exc:
-            failures += 1
-            details.append(f"{fam.name} rho={rho:.3f}: {type(exc).__name__}")
-            continue
-        margin = rep.moment * rep.epsilon + BOUND_SLACK - rep.l1
-        worst_margin = max(worst_margin, -margin)
-        if not rep.holds:
-            failures += 1
-            details.append(f"{fam.name} rho={rho:.3f}: l1 {rep.l1:.3e} > bound")
+    for excess, failure in _forked_map(_fuzz_draw, draws,
+                                       (None, "ChildProcessError: a fuzz worker died")):
+        if excess is not None:
+            worst_margin = max(worst_margin, excess)
+        if failure is not None:
+            details.append(failure)
+    failures = len(details)
     ok = failures == 0
     note = f"{count} draws, {failures} violations"
     if worst_margin > -math.inf:   # some draw produced a bound

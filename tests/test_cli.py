@@ -194,6 +194,31 @@ class TestVerifyTheory:
         assert rows[0].startswith("predictor,")
 
 
+class TestUnwritableOutputs:
+    """An output path that cannot be written fails with exit 3 before the
+    checks or the sweep run, and leaves no other output behind."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the work ran before its output was opened")
+
+    def test_verify_theory_table(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_theory", self.refuse)
+        assert main(["verify-theory", "--fuzz", "5", "--table", "/nonexistent/p.csv"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("bad", ["out", "per-seed"])
+    def test_report_outputs(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.setattr(cli, "run_experiment", self.refuse)
+        paths = {"out": tmp_path / "report.csv", "per-seed": tmp_path / "per_seed.csv"}
+        paths[bad] = tmp_path / "missing" / "x.csv"
+        assert main(["report", "--task", "image", "--seeds", "1",
+                     "--out", str(paths["out"]), "--per-seed", str(paths["per-seed"])]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodes:
     def test_unknown_corruption_kind(self, image_dir, tmp_path, capsys):
         code = main(["corrupt", "--in", image_dir, "--kind", "wiggle",

@@ -650,10 +650,11 @@ class TestTheoryChecks:
     @pytest.mark.parametrize("seed", [7, 54])
     def test_fuzz_seeds_with_extreme_shifts_pass(self, seed):
         """These fuzz seeds once drew a negated-coordinate shift near 1.0
-        whose posterior fell below the reweighting floor."""
+        whose posterior fell below the reweighting floor.  The whole note
+        is pinned: every draw's bound is folded in draw order."""
         result = fuzz_bound_checks(2000, seed=seed)
         assert result.passed, result.detail
-        assert result.detail.startswith("2000 draws, 0 violations")
+        assert result.detail == "2000 draws, 0 violations, worst excess -1.000e-09"
 
     def test_fuzz_bound_small_run(self):
         result = fuzz_bound_checks(30, seed=1)
@@ -672,6 +673,39 @@ class TestTheoryChecks:
         assert not result.passed
         assert result.detail.startswith("3 draws, 3 violations; ")
         assert "worst excess" not in result.detail and "inf" not in result.detail
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("bound", ["exact", "raising"])
+    def test_worker_count_does_not_change_the_fuzz_note(self, monkeypatch, seed, bound):
+        """The draws are shared out differently over one, two and three
+        workers, but folded back in draw order.  The exact bounds of these
+        seeds all hold, so a note names no draw; when every bound raises,
+        the note names the first three draws' families and rho values."""
+        if bound == "raising":
+            def undefined(*args):
+                raise ZeroDivisionError("no bound")
+
+            monkeypatch.setattr(harness, "corruption_bound", undefined)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            results.append(fuzz_bound_checks(300, seed=seed))
+        assert results[0] == results[1] == results[2]
+        assert results[0].detail.startswith("300 draws, ")
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_dying_fuzz_worker_fails_each_draw_it_held(self, monkeypatch, cpus):
+        """Every draw of a worker that exits is a violation named
+        ``ChildProcessError``, and no worker is left behind."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(harness, "corruption_bound", lambda *args: os._exit(1))
+        result = fuzz_bound_checks(5, seed=0)
+        assert not result.passed
+        assert result.detail.startswith("5 draws, 5 violations; ")
+        assert "worst excess" not in result.detail
+        assert result.detail.split("; ")[1:] == ["ChildProcessError: a fuzz worker died"] * 3
+        assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------
