@@ -38,13 +38,7 @@ class Grid:
             raise SizingError(f"grid needs 2 or 3 dims, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise SizingError(f"grid dims must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("grid values must be finite")
-        if unit_range and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("grid values must lie in [0, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = grid_rows(arr[np.newaxis].copy(), unit_range=unit_range)[0].values
 
 
 @dataclass(frozen=True)
@@ -97,9 +91,9 @@ GRID_CHUNK = 64
 
 
 def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> list:
-    """One Grid per row of a (rows, h, w, c) array, checked as
-    :class:`Grid` checks but once for the whole array.  Each Grid holds a
-    read-only view of its row; the array itself is frozen."""
+    """One Grid per row of a (rows, h, w, c) array, its values checked once
+    for the whole array (the checks of every :class:`Grid`).  Each Grid
+    holds a read-only view of its row; the array itself is frozen."""
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite")
     if unit_range and (values.min() < 0.0 or values.max() > 1.0):

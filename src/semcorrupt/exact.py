@@ -305,10 +305,18 @@ def extend_with_corruption(p: JointTable, corruption: FiniteCorruption) -> Joint
 
 @dataclass(frozen=True)
 class BoundReport:
+    """:func:`corruption_bound`'s ``epsilon``, ``moment`` and ``l1``, and
+    whether ``l1 <= moment * epsilon + BOUND_SLACK`` (``holds``)."""
+
     epsilon: float
     moment: float
     l1: float
     holds: bool
+
+    @property
+    def excess(self) -> float:
+        """How far ``l1`` lies above the slackened bound: ``<= 0`` iff ``holds``."""
+        return -(self.moment * self.epsilon + BOUND_SLACK - self.l1)
 
 
 def corruption_bound(p: JointTable, corruption: FiniteCorruption) -> BoundReport:

@@ -29,11 +29,15 @@ class DiscreteFamily:
     name: str
     y_support: tuple
     z_support: tuple
-    x_support: tuple
     y_xstar: Mapping            # (y, xstar) -> prob
     z_given_y: Callable         # rho -> {(z, y): prob}
     x_given_z_xstar: Mapping    # (x, z, xstar) -> prob
     semantic_fn: Callable       # x -> xstar
+
+    @property
+    def x_support(self) -> tuple:
+        """Every covariate value of ``x_given_z_xstar``, in its key order."""
+        return tuple(dict.fromkeys(x for x, _z, _xs in self.x_given_z_xstar))
 
     def joint(self, rho: float) -> JointTable:
         if not 0.0 <= rho <= 1.0:
@@ -72,7 +76,6 @@ def flip_noise_family(which: int) -> DiscreteFamily:
         pair = {True: rho, False: 1.0 - rho}
         return {(z, y): pair[z == y] for z in pm for y in pm}
 
-    x_support = tuple((a, b) for a in pm for b in pm)
     if which == 1:
         x_given = {((xs, z), z, xs): 1.0 for xs in pm for z in pm}
         semantic = lambda x: x[0]
@@ -83,7 +86,6 @@ def flip_noise_family(which: int) -> DiscreteFamily:
         name=f"flip_noise_{which}",
         y_support=pm,
         z_support=pm,
-        x_support=x_support,
         y_xstar=y_xstar,
         z_given_y=z_given_y,
         x_given_z_xstar=x_given,
@@ -123,7 +125,6 @@ def negated_coordinate_family(shift: float, z_grid_size: int) -> DiscreteFamily:
         return tuple(coords)
 
     x_given = {(config(y, z), z, y): 1.0 for y in ys for z in grid}
-    x_support = tuple(config(y, z) for y in ys for z in grid)
 
     def semantic(x: tuple) -> int:
         s = [v > 0 for v in x]
@@ -136,7 +137,6 @@ def negated_coordinate_family(shift: float, z_grid_size: int) -> DiscreteFamily:
         name="negated_coordinate",
         y_support=ys,
         z_support=grid,
-        x_support=x_support,
         y_xstar=y_xstar,
         z_given_y=z_given_y,
         x_given_z_xstar=x_given,
@@ -182,7 +182,6 @@ def xor_sign_family(shift: float, z_grid_size: int) -> DiscreteFamily:
         x_given[((-z, -z), z, 0)] = 0.5
         x_given[((-z, z), z, 1)] = 0.5
         x_given[((z, -z), z, 1)] = 0.5
-    x_support = tuple(x for (x, _z, _s) in x_given)
 
     def semantic(x: tuple) -> int:
         return int((x[0] > 0) != (x[1] > 0))
@@ -191,7 +190,6 @@ def xor_sign_family(shift: float, z_grid_size: int) -> DiscreteFamily:
         name="xor_sign",
         y_support=ys,
         z_support=grid,
-        x_support=x_support,
         y_xstar=y_xstar,
         z_given_y=z_given_y,
         x_given_z_xstar=x_given,

@@ -23,7 +23,6 @@ from .corruptions import CorruptionSpec, Grid, SentencePair, grid_rows, pair_row
 from .errors import ConfigError
 from .exact import (
     BINARY_INPUTS,
-    BOUND_SLACK,
     FiniteCorruption,
     corruption_bound,
     cond_indep_gap,
@@ -321,15 +320,20 @@ def _forked_map(fn: Callable, items: list, died) -> list:
     one per usable CPU: worker ``k`` maps items ``k``, ``k + workers``, ...
     on what it inherits through the fork (shared copy-on-write) and sends
     its results back through a pipe, pickled.  Each item of a worker that
-    dies before sending them reads as ``died``.  Every worker is reaped
-    before this returns."""
+    dies before sending them reads as ``died``.  Every worker is reaped,
+    and every pipe closed, before this returns or raises."""
     workers = min(len(items), len(os.sched_getaffinity(0)))
     shares = [range(k, len(items), workers) for k in range(workers)]
     children = []   # (pid, the read end of its pipe)
     try:
         for share in shares:
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:   # e.g. EAGAIN: no worker holds this pipe
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if pid == 0:   # the worker: nothing may return into the caller's code
                 status = 1
                 try:
@@ -356,19 +360,9 @@ def _forked_map(fn: Callable, items: list, died) -> list:
             os.waitpid(pid, 0)
 
 
-def _train_cells(store: FeatureStore, methods: tuple, cfg_main: TrainConfig,
-                 cfg_aux: TrainConfig, hidden: int) -> list:
-    """Every method's model or error, trained in forked workers
-    (:func:`_forked_map`) on the store they inherit, the clean features
-    shared copy-on-write.  The cells of a worker that dies before sending
-    them fail with a ``ChildProcessError``."""
-    return _forked_map(lambda m: _train_cell(m, store, cfg_main, cfg_aux, hidden), methods,
-                       "ChildProcessError: the worker training this cell died")
-
-
 def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
     """Full sweep: per seed, train every method on one training set through
-    one :class:`FeatureStore` (in forked workers, :func:`_train_cells`),
+    one :class:`FeatureStore`, in forked workers (:func:`_forked_map`),
     then generate each held-out split (in-distribution, flipped, balanced),
     featurize it once and score every trained model on it.  A failure in
     one (method, seed) cell is recorded and the sweep continues."""
@@ -385,7 +379,8 @@ def run_experiment(config: ExperimentConfig, methods) -> ExperimentResult:
         store.clean()   # before the fork, so that every worker shares it
         cfg_main = replace(config.cfg_main, seed=derive_seed(seed, 10))
         cfg_aux = replace(config.cfg_aux, seed=derive_seed(seed, 11))
-        trained = _train_cells(store, methods, cfg_main, cfg_aux, config.hidden)
+        trained = _forked_map(lambda m: _train_cell(m, store, cfg_main, cfg_aux, config.hidden),
+                              methods, "ChildProcessError: the worker training this cell died")
         del store
         models, records = {}, {}
         for m, out in zip(methods, trained):
@@ -613,11 +608,7 @@ def check_factorization() -> CheckResult:
             p = fam.joint(rho).with_derived("xstar", fam.semantic_fn, ("x",))
             worst_ci = max(worst_ci, cond_indep_gap(p, "y", "x", ("xstar", "z")))
             pr = nuisance_randomize(fam.joint(rho))
-            yz = pr.marginal("y", "z")
-            ym = yz.marginal("y")
-            zm = yz.marginal("z")
-            for (y, z), v in yz.cells.items():
-                worst_ind = max(worst_ind, abs(v - ym.cells[(y,)] * zm.cells[(z,)]))
+            worst_ind = max(worst_ind, cond_indep_gap(pr, "y", "z", ()))
     ok = worst_ci <= TABLE_TOL and worst_ind <= TABLE_TOL
     return CheckResult("factorization", ok,
                        f"cond-indep gap {worst_ci:.3e}, randomized y-z gap {worst_ind:.3e}")
@@ -665,8 +656,7 @@ def _fuzz_draw(params: tuple) -> tuple:
         rep = corruption_bound(fam.joint(rho), corruption)
     except Exception as exc:
         return None, f"{fam.name} rho={rho:.3f}: {type(exc).__name__}"
-    margin = rep.moment * rep.epsilon + BOUND_SLACK - rep.l1
-    return -margin, None if rep.holds else f"{fam.name} rho={rho:.3f}: l1 {rep.l1:.3e} > bound"
+    return rep.excess, None if rep.holds else f"{fam.name} rho={rho:.3f}: l1 {rep.l1:.3e} > bound"
 
 
 def fuzz_bound_checks(count: int = 200, seed: int = 0) -> CheckResult:

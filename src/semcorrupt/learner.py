@@ -95,20 +95,14 @@ class NgramLayout:
         return counts.astype(np.float64).reshape(self.examples, -1)
 
 
-def bag_of_ngrams(spec: FeatureSpec, covariates) -> np.ndarray:
-    """The ``bag_of_ngrams`` matrix of token covariates, hashed as arrays
-    through an :class:`NgramLayout` (the feature store's n-gram draws too)."""
-    layout = NgramLayout(spec, covariates)
-    return layout.counts(layout.window_buckets(layout.ids))
-
-
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
     """Stack per-example feature vectors into an (n, d) float64 matrix."""
     covariates = list(covariates)
     if not covariates:
         return np.zeros((0, 0))
-    if spec.kind == "bag_of_ngrams":
-        return bag_of_ngrams(spec, covariates)
+    if spec.kind == "bag_of_ngrams":   # hashed as arrays, as the store's n-gram draws
+        layout = NgramLayout(spec, covariates)
+        return layout.counts(layout.window_buckets(layout.ids))
     if spec.kind == "flatten_grid":
         if not all(isinstance(c, Grid) for c in covariates):
             raise DispatchError("flatten_grid expects a Grid")

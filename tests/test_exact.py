@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from semcorrupt.exact import (
     BINARY_INPUTS,
+    BOUND_SLACK,
     POSTERIOR_FLOOR,
+    BoundReport,
     FiniteCorruption,
     JointTable,
     UndefinedWeightError,
@@ -556,3 +558,20 @@ ENGINE_BITS = "639ed45470176055d931a7e28b0360bc654efa0bf2b5a97d6d63062c8770e46e"
 
 def test_engine_bits_are_frozen():
     assert engine_bits_digest() == ENGINE_BITS
+
+
+def test_bound_report_excess_is_holds_as_a_distance():
+    """On every report of the frozen grid, ``excess`` is ``<= 0`` exactly
+    when the bound holds, bit for bit ``-(moment * epsilon + BOUND_SLACK -
+    l1)`` (so a zero keeps its sign); a hand-built violation reads
+    positive."""
+    for fam, dim in ((flip_noise_family(1), 2), (flip_noise_family(2), 2),
+                     (negated_coordinate_family(0.5, 6), 3), (xor_sign_family(0.5, 6), 2)):
+        for rho in (0.2, 0.7):
+            p = fam.joint(rho)
+            for corr in _pin_corruptions(dim):
+                rep = corruption_bound(p, corr)
+                assert rep.holds == (rep.excess <= 0.0)
+                want = -(rep.moment * rep.epsilon + BOUND_SLACK - rep.l1)
+                assert rep.excess.hex() == want.hex(), (fam.name, rho, corr.label)
+    assert BoundReport(0.1, 1.0, 0.5, False).excess > 0.0

@@ -2,6 +2,7 @@
 corruption selection, theory-check reports, and serialization."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -340,6 +341,26 @@ class TestRunExperiment:
         assert all(msg.startswith("ChildProcessError: ") for _, msg in dying.errors)
         assert_no_child_process()
 
+    def test_failed_fork_raises_and_leaks_no_pipe(self, monkeypatch):
+        """A fork that fails (the second of two, with EAGAIN) raises its
+        OSError; the first worker is reaped and no pipe end stays open."""
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        before = os.listdir("/proc/self/fd")
+        with pytest.raises(OSError) as raised:
+            harness._forked_map(str, [1, 2], "died")
+        assert raised.value.errno == errno.EAGAIN
+        assert os.listdir("/proc/self/fd") == before
+        assert_no_child_process()
+
     def test_duplicate_labels_rejected(self):
         config = ExperimentConfig(
             task="image", rho_train=0.5, n_train=10, n_eval=10, seeds=(0,),
@@ -588,6 +609,20 @@ class TestDeskPresets:
         assert config.task == "nli" and config.seeds == (3, 4)
         assert [m.label for m in methods] == ["erm", "poe+nr1", "dfl2+nr1",
                                               "jtt6+nr1"]
+
+    @pytest.mark.parametrize("preset, digest", [
+        (desk_image_experiment,
+         "d0d653369900c18ea520bc979077be673d75b2e635ef64bfcc59200103a63c6e"),
+        (desk_nli_experiment,
+         "ebb5bb4e816945e0c86830aaacc20e9a611847caf3e79a7233da6eeb6959dd35"),
+    ], ids=["image", "nli"])
+    def test_seed_zero_csvs_are_frozen(self, preset, digest):
+        """The summary and per-seed CSVs of seed 0 of each desk sweep, byte
+        for byte (sha256): every change that keeps the sweep's bits keeps
+        these."""
+        result = run_experiment(*preset((0,)))
+        text = result.to_csv() + result.per_seed_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
