@@ -5,10 +5,10 @@ configuration (bad numbers, damaged dataset or model files, non-finite
 vector data), 3 runtime failure (diverged training, unreadable files or
 unwritable output paths, undefined reweighting, a request too large to
 allocate, a ``report`` sweep with a failed (method, seed) cell).  An
-oversized count (``gen --n``, ``--hidden``, a dataset's class count) is a
-bad number, exit 2, when numpy cannot index an array that large (about
-10**30), and exit 3 when numpy can index it but the machine cannot hold it
-(about 10**14).
+oversized count (``gen --n``, ``--hidden``, ``--buckets``, a dataset's
+class count) is a bad number, exit 2, when numpy cannot index an array
+that large (about 10**30), and exit 3 when numpy can index it but the
+machine cannot hold it (about 10**14).
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def main(argv=None) -> int:
     except (TrainingError, UndefinedWeightError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
-        # includes dispatch errors from feature/covariate kind mismatches
+    except (ValueError, TypeError, OverflowError) as exc:
+        # dispatch errors (feature/covariate kind mismatches), unindexable counts
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

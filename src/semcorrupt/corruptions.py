@@ -321,24 +321,13 @@ def gauss_noise(grid: Grid, variance: float, seed: int) -> Grid:
 # ---------------------------------------------------------------------------
 # text corruptions
 
-def token_segments(covariates) -> tuple:
-    """The sentences of sentence-pair covariates, example by example: each
-    pair's premise then its hypothesis.  Returns the sentences' token
-    tuples, the example index of each and the sub-seed tag ``apply`` gives
-    it (0 premise, 1 hypothesis).
-    """
+def token_segments(covariates) -> list:
+    """The token tuples of sentence-pair covariates, example by example:
+    each pair's premise then its hypothesis."""
     bad = [type(cov).__name__ for cov in covariates if not isinstance(cov, SentencePair)]
     if bad:
         raise DispatchError(f"expected a SentencePair, got {bad[0]}")
-    seqs = [seq.tokens for cov in covariates for seq in (cov.premise, cov.hypothesis)]
-    rows = np.repeat(np.arange(len(covariates), dtype=np.int64), 2)
-    return seqs, rows, np.tile(np.array([0, 1], dtype=np.int64), len(covariates))
-
-
-def segment_seeds(seed: int, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """``apply``'s n-gram sub-seed of each segment:
-    ``derive_seed(derive_seed(seed, example_index), tag)``."""
-    return derive_seeds(derive_seeds(seed, rows), tags)
+    return [seq.tokens for cov in covariates for seq in (cov.premise, cov.hypothesis)]
 
 
 def ngram_source(lengths: np.ndarray, n: int, seeds: np.ndarray) -> np.ndarray:
@@ -519,38 +508,50 @@ def apply(spec: CorruptionSpec, covariate, example_index: int):
     return kind.run(covariate, spec.param, seed)
 
 
-def apply_rows(spec: CorruptionSpec, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``spec``'s batch kernel over (rows, h, w, c) grid values whose rows
-    are examples ``index``, each with ``apply``'s per-example seed."""
+def apply_rows(spec: CorruptionSpec, values: np.ndarray) -> np.ndarray:
+    """``spec``'s batch kernel over (rows, h, w, c) grid values, row ``i``
+    with ``apply``'s seed for example ``i``."""
     kind = KINDS[spec.kind]
-    return kind.batch(values, spec.param,
-                      derive_seeds(spec.seed, index) if kind.stochastic else None)
+    seeds = derive_seeds(spec.seed, np.arange(len(values))) if kind.stochastic else None
+    return kind.batch(values, spec.param, seeds)
 
 
-def grid_shape(covariates) -> tuple | None:
-    """The (h, w, c) shape every covariate shares when all are Grids of one
-    shape; None otherwise (an empty list included)."""
+def batch_shape(spec: CorruptionSpec, covariates) -> tuple | None:
+    """The (h, w, c) shape every covariate shares when ``spec``'s kind has a
+    batch kernel and all covariates are Grids of that one shape, so that
+    :func:`apply_rows` draws them all; None otherwise (an empty list
+    included)."""
+    if KINDS[spec.kind].batch is None:
+        return None
     shapes = {c.values.shape if isinstance(c, Grid) else None for c in covariates}
     return shapes.pop() if len(shapes) == 1 else None
 
 
+def shuffle_source(spec: CorruptionSpec, lengths) -> np.ndarray:
+    """:func:`ngram_source` of ``spec``, an ``ngram_randomize`` spec, over the
+    sentence ``lengths`` of pairs laid end to end (each pair's premise then
+    its hypothesis), sentence ``s`` with ``apply``'s sub-seed
+    ``derive_seed(derive_seed(seed, s // 2), s % 2)``."""
+    at = np.arange(len(lengths))
+    return ngram_source(lengths, int(spec.param),
+                        derive_seeds(derive_seeds(spec.seed, at // 2), at % 2))
+
+
 def apply_all(spec: CorruptionSpec, covariates) -> list:
     """``apply`` to every covariate, with its list position as example
-    index.  N-gram shuffles of sentence pairs run as one
-    :func:`ngram_source` batch, and a grid kind with a batch kernel on
-    Grids of one shape as one kernel call; anything else runs example by
-    example, which gives the same bits."""
+    index.  Grids of one shape under a kind with a batch kernel
+    (:func:`batch_shape`) are one :func:`apply_rows` call, and n-gram
+    shuffles of sentence pairs one :func:`shuffle_source`; anything else
+    runs example by example, which gives the same bits."""
     covariates = list(covariates)
-    if KINDS[spec.kind].batch is not None and grid_shape(covariates) is not None:
-        drawn = apply_rows(spec, np.stack([c.values for c in covariates]),
-                           np.arange(len(covariates)))
+    if batch_shape(spec, covariates) is not None:
+        drawn = apply_rows(spec, np.stack([c.values for c in covariates]))
         return grid_rows(drawn, unit_range=False)
     if spec.kind != "ngram_randomize":
         return [apply(spec, cov, i) for i, cov in enumerate(covariates)]
-    seqs, rows, tags = token_segments(covariates)
+    seqs = token_segments(covariates)
     flat = [t for seq in seqs for t in seq]
-    src = ngram_source([len(seq) for seq in seqs], int(spec.param),
-                       segment_seeds(spec.seed, rows, tags))
+    src = shuffle_source(spec, [len(seq) for seq in seqs])
     shuffled = iter([flat[i] for i in src.tolist()])
     out = [tuple(islice(shuffled, len(seq))) for seq in seqs]
     return pair_rows(out[0::2], out[1::2], [p.premise.mask_id for p in covariates])

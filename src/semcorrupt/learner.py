@@ -15,7 +15,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .corruptions import Grid, ngram_source, segment_seeds, token_segments
+from .corruptions import Grid, token_segments
 from .errors import DispatchError, TrainingError
 from .rng import Stream, as_words, below_rows, derive_seed, derive_seeds
 
@@ -49,15 +49,14 @@ class FeatureSpec:
 
 class NgramLayout:
     """Where every n-gram window of some sentence pairs lands in their
-    ``bag_of_ngrams`` matrix, built once: the flat token ids, the segments
-    (premise then hypothesis of each pair) and, per window, its first token
-    and its row's first cell.  A draw of the tokens in the same segments
-    (an n-gram shuffle keeps every length) is hashed by
-    :meth:`window_buckets` into one small bucket id per window and counted
-    by :meth:`counts`."""
+    ``bag_of_ngrams`` matrix, built once: the flat token ids, the segment
+    lengths (premise then hypothesis of each pair) and, per window, its
+    first token and its row's first cell.  :meth:`counts` hashes and counts
+    the windows of any ids in the same segments, such as the flat ids after
+    an n-gram shuffle, which keeps every length."""
 
     def __init__(self, spec: FeatureSpec, covariates):
-        seqs, self.rows, self.tags = token_segments(covariates)
+        seqs = token_segments(covariates)
         self.buckets = spec.buckets
         self.examples = len(covariates)
         self.lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
@@ -68,29 +67,23 @@ class NgramLayout:
             self.ids = as_words([t for seq in seqs for t in seq])
         segment = np.repeat(np.arange(len(seqs)), self.lengths)
         room = np.repeat(np.cumsum(self.lengths), self.lengths) - np.arange(len(self.ids))
-        self.windows = [np.flatnonzero(room >= n) for n in range(1, spec.ngram + 1)]
+        # no window outgrows the longest sentence; one list stays if all are empty
+        top = max(1, min(spec.ngram, int(self.lengths.max(initial=0))))
+        self.windows = [np.flatnonzero(room >= n) for n in range(1, top + 1)]
         self.cells = np.concatenate([segment[at] * self.buckets for at in self.windows])
-        self.dtype = np.min_scalar_type(self.buckets - 1)
 
-    def shuffled(self, shuffle) -> np.ndarray:
-        """The flat token ids after ``shuffle``, an ``ngram_randomize``
-        CorruptionSpec, exactly as ``apply`` with each example's index."""
-        return self.ids[ngram_source(self.lengths, int(shuffle.param),
-                                     segment_seeds(shuffle.seed, self.rows, self.tags))]
-
-    def window_buckets(self, ids: np.ndarray) -> np.ndarray:
-        """The bucket ``derive_seed(n, *window) % buckets`` of every window,
-        one :func:`derive_seeds` call per n-gram length, in the smallest
-        unsigned dtype that holds a bucket id."""
-        return np.concatenate([
-            derive_seeds(n, *(ids[at + k] for k in range(n))) % np.uint64(self.buckets)
-            for n, at in enumerate(self.windows, 1)]).astype(self.dtype)
-
-    def counts(self, window_buckets: np.ndarray) -> np.ndarray:
-        """The (examples, d) float64 count matrix of one draw's buckets."""
+    def counts(self, ids: np.ndarray) -> np.ndarray:
+        """The (examples, d) float64 count matrix of the windows of ``ids``,
+        flat token ids in this layout's segments: each window counts in
+        bucket ``derive_seed(n, *window) % buckets`` of its row, one
+        :func:`derive_seeds` call per n-gram length ``n``."""
         if not self.examples:
             return np.zeros((0, 0))
-        counts = np.bincount(self.cells + window_buckets,
+        buckets = np.concatenate([
+            derive_seeds(n, *(ids[at + k] for k in range(n))) % np.uint64(self.buckets)
+            for n, at in enumerate(self.windows, 1)])
+        # int64, as the cells: int64 plus uint64 would promote to float64
+        counts = np.bincount(self.cells + buckets.astype(np.int64),
                              minlength=len(self.lengths) * self.buckets)
         return counts.astype(np.float64).reshape(self.examples, -1)
 
@@ -102,7 +95,7 @@ def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
         return np.zeros((0, 0))
     if spec.kind == "bag_of_ngrams":   # hashed as arrays, as the store's n-gram draws
         layout = NgramLayout(spec, covariates)
-        return layout.counts(layout.window_buckets(layout.ids))
+        return layout.counts(layout.ids)
     if spec.kind == "flatten_grid":
         if not all(isinstance(c, Grid) for c in covariates):
             raise DispatchError("flatten_grid expects a Grid")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corruptions import KINDS, CorruptionSpec, apply_all, apply_rows, grid_shape
+from .corruptions import KINDS, CorruptionSpec, apply_all, apply_rows, batch_shape, shuffle_source
 from .errors import ConfigError, TrainingError
 from .families import Dataset
 from .rng import derive_seed
@@ -61,14 +61,12 @@ class FeatureStore:
 
     * :meth:`clean`, the features of the untouched covariates, computed
       once;
-    * :meth:`corrupted`, one corrupted draw per CorruptionSpec (so every
-      per-epoch redraw seed is a key of its own).  N-gram shuffles under
-      bag-of-n-gram features are kept as per-window bucket ids in the
-      smallest unsigned dtype over one :class:`NgramLayout` of the dataset
-      and counted into a fresh matrix on each request; other draws are float
-      matrices too large to keep, computed on each request, a grid kind with
-      a batch kernel on grids of one shape as one :func:`apply_rows` call
-      over the clean features;
+    * :meth:`corrupted`, each corrupted draw, made afresh on every request
+      (so every per-epoch redraw seed is a draw of its own).  N-gram
+      shuffles under bag-of-n-gram features are shuffled token ids counted
+      over one :class:`NgramLayout` of the dataset, built once; a grid kind
+      with a batch kernel on grids of one shape (:func:`batch_shape`) is
+      one :func:`apply_rows` call over the clean features;
     * :meth:`plan`, each :func:`minibatch_plan` as it is drawn: its batches
       are views of its own read-only order array.
 
@@ -80,7 +78,6 @@ class FeatureStore:
         self.feature_spec = feature_spec
         self._clean = None
         self._layout = None
-        self._draws = {}
         self._plans = {}
 
     def clean(self) -> np.ndarray:
@@ -98,15 +95,12 @@ class FeatureStore:
         if spec.kind == "ngram_randomize" and self.feature_spec.kind == "bag_of_ngrams":
             if self._layout is None:
                 self._layout = NgramLayout(self.feature_spec, covs)
-            if spec not in self._draws:
-                self._draws[spec] = self._layout.window_buckets(self._layout.shuffled(spec))
-            return _read_only(self._layout.counts(self._draws[spec]))
-        if KINDS[spec.kind].batch is not None and self.feature_spec.kind == "flatten_grid":
-            shape = grid_shape(covs)
-            if shape is not None:
-                n = len(covs)
-                drawn = apply_rows(spec, self.clean().reshape(n, *shape), np.arange(n))
-                return _read_only(drawn.reshape(n, -1))
+            layout = self._layout
+            return _read_only(layout.counts(layout.ids[shuffle_source(spec, layout.lengths)]))
+        shape = batch_shape(spec, covs) if self.feature_spec.kind == "flatten_grid" else None
+        if shape is not None:
+            drawn = apply_rows(spec, self.clean().reshape(len(covs), *shape))
+            return _read_only(drawn.reshape(len(covs), -1))
         return _read_only(featurize(self.feature_spec, apply_all(spec, covs)))
 
     def epoch_features(self, spec: CorruptionSpec, first_epoch: np.ndarray):

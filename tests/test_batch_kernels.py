@@ -37,7 +37,7 @@ from semcorrupt.corruptions import (
 from semcorrupt.errors import DispatchError
 from semcorrupt import scams
 from semcorrupt.families import Dataset, synthetic_nli_task
-from semcorrupt.learner import FeatureSpec, featurize
+from semcorrupt.learner import FeatureSpec, NgramLayout, featurize
 from semcorrupt.rng import Stream, derive_seed, derive_seeds
 from semcorrupt.scams import FeatureStore, corrupted_features
 
@@ -266,6 +266,16 @@ def test_featurize_wraps_ids_beyond_64_bits():
     assert np.array_equal(featurize(spec, [big]), featurize(spec, [small]))
 
 
+def test_featurize_builds_no_window_longer_than_every_sentence():
+    covs = [SentencePair(TokenSeq((4, 1, 9)), TokenSeq((2,))),
+            SentencePair(TokenSeq(()), TokenSeq(())),
+            SentencePair(TokenSeq((7, 7)), TokenSeq((3, 5, 3)))]
+    long = FeatureSpec("bag_of_ngrams", ngram=10**4)
+    assert len(NgramLayout(long, covs).windows) == 3
+    assert np.array_equal(featurize(long, covs),
+                          featurize(FeatureSpec("bag_of_ngrams", ngram=3), covs))
+
+
 def test_featurize_rejects_mixed_widths_and_grids():
     spec = FeatureSpec("bag_of_ngrams")
     with pytest.raises(DispatchError):
@@ -284,6 +294,21 @@ def test_corrupted_features_matches_oracle(covs, fspec, n, seed):
     spec = CorruptionSpec("ngram_randomize", n, seed)
     want = np.array([ref_row(fspec, ref_shuffled(c, n, seed, i)) for i, c in enumerate(covs)])
     assert np.array_equal(corrupted_features(dataset(covs), spec, fspec), want)
+
+
+def test_store_ngram_draws_build_no_pairs(monkeypatch):
+    """N-gram draws under bag-of-n-gram features count shuffled ids over the
+    store's layout, never through apply_all, with the bytes of
+    featurize(apply_all(...)) on every request."""
+    ds = synthetic_nli_task(0.9, 50, 4)
+    fs = FeatureSpec("bag_of_ngrams", ngram=3, buckets=32)
+    specs = [CorruptionSpec("ngram_randomize", n, 5) for n in (1, 2, 4)]
+    want = [featurize(fs, apply_all(spec, ds.covariates)).tobytes() for spec in specs]
+    store = FeatureStore(ds, fs)
+    monkeypatch.setattr(scams, "apply_all", None)
+    for _ in range(2):
+        for spec, expect in zip(specs, want):
+            assert store.corrupted(spec).tobytes() == expect, spec
 
 
 @given(st.lists(pairs, min_size=1, max_size=8), st.integers(1, 5), seeds)

@@ -43,6 +43,15 @@ def image_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def nli_dir(tmp_path_factory):
+    """A small saved NLI dataset for the bag-of-n-gram count tests."""
+    path = str(tmp_path_factory.mktemp("gen") / "nli")
+    assert main(["gen", "--task", "nli", "--rho", "0.9", "--n", "40",
+                 "--seed", "3", "--out", path]) == 0
+    return path
+
+
 class TestGen:
     def test_writes_loadable_dataset(self, image_dir, capsys):
         ds = load_dataset(image_dir)
@@ -332,6 +341,21 @@ class TestExitCodes:
         out = tmp_path / "m.bin"
         assert main(["train", "--in", str(data), "--out", str(out), "--seed", "0",
                      "--epochs", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_bucket_count_exits_3(self, nli_dir, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", nli_dir, "--out", str(out), "--seed", "0",
+                     "--epochs", "1", "--buckets", str(10**14)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("buckets", [2**63, 10**30])
+    def test_unindexable_bucket_count_exits_2(self, nli_dir, tmp_path, capsys, buckets):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", nli_dir, "--out", str(out), "--seed", "0",
+                     "--epochs", "1", "--buckets", str(buckets)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
