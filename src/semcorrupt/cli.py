@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
 configuration (bad numbers, damaged dataset or model files, non-finite
-vector data), 3 runtime failure (diverged training, unreadable files or
-unwritable output paths, undefined reweighting, a request too large to
-allocate, a ``report`` sweep with a failed (method, seed) cell).  An
-oversized count (``gen --n``, ``--hidden``, ``--buckets``, a dataset's
-class count) is a bad number, exit 2, when numpy cannot index an array
-that large (about 10**30), and exit 3 when numpy can index it but the
-machine cannot hold it (about 10**14).
+vector data, a hyperparameter the method does not take, one file named by
+both ``report --out`` and ``--per-seed``), 3 runtime failure (diverged
+training, unreadable files or unwritable output paths, undefined
+reweighting, a request too large to allocate, a ``report`` sweep with a
+failed (method, seed) cell).  An oversized count (``gen --n``,
+``--hidden``, ``--buckets``, a dataset's class count) is a bad number,
+exit 2, when numpy cannot index an array that large (about 10**30), and
+exit 3 when numpy can index it but the machine cannot hold it (about
+10**14).
 """
 
 from __future__ import annotations
@@ -154,6 +156,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.per_seed and os.path.realpath(args.out) == os.path.realpath(args.per_seed):
+        raise ConfigError("--out and --per-seed name the same file")
     config, methods = TASKS[args.task].preset(tuple(range(args.seeds)))
     with _output(args.out) as out, _output(args.per_seed) as per_seed:
         result = run_experiment(config, methods)

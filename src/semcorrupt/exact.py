@@ -170,28 +170,11 @@ class FiniteCorruption:
         return cls(fn, {perm: p for perm in perms}, label)
 
 
-def nuisance_randomize(p, rho: float = None) -> JointTable:
-    """Break the label-nuisance dependence: p(y) p(z) p(x | y, z).
-
-    Accepts either a joint table over (y, z, x) or a finite family together
-    with its relationship parameter ``rho``.  The family form assembles the
-    product from the structural conditionals, so it stays defined even at the
-    degenerate extremes rho in {0, 1}, where some (y, z) pairs carry no joint
-    mass and p(x | y, z) cannot be read off a table.
-    """
-    if hasattr(p, "x_given_z_xstar"):
-        if rho is None:
-            raise ValueError("the family form needs the relationship parameter rho")
-        fam = p
-        zgy = fam.z_given_y(rho)
-        y_m = {}
-        for (y, _xs), q in fam.y_xstar.items():
-            y_m[y] = y_m.get(y, 0.0) + q
-        z_m = {z: math.fsum(y_m[y] * zgy.get((z, y), 0.0) for y in fam.y_support)
-               for z in fam.z_support}
-        return fam.assemble({(z, y): z_m[z] for z in fam.z_support for y in fam.y_support})
-    if rho is not None:
-        raise ValueError("rho only applies to the family form")
+def nuisance_randomize(p: JointTable) -> JointTable:
+    """Break the label-nuisance dependence of the (y, z, x) table ``p``:
+    p(y) p(z) p(x | y, z), with p(x | y, z) read off ``p``.  Where a label
+    and a nuisance with mass never meet (a family at rho 0 or 1), use
+    ``DiscreteFamily.nuisance_randomized``."""
     y_m = p.marginal("y").cells
     z_m = p.marginal("z").cells
     yz = p.marginal("y", "z").cells
@@ -200,7 +183,7 @@ def nuisance_randomize(p, rho: float = None) -> JointTable:
             if qy * qz > 0.0 and (y, z) not in yz:
                 raise ValueError(
                     f"pair (y={y!r}, z={z!r}) has zero joint mass, so "
-                    "p(x | y, z) is undefined; pass the family and rho instead")
+                    "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
     out = {}
     for (y, z, x), q in p.marginal("y", "z", "x").cells.items():
         out[(y, z, x)] = y_m[(y,)] * z_m[(z,)] * q / yz[(y, z)]
@@ -266,19 +249,13 @@ def biased_posterior(p: JointTable, conditioner) -> Posterior:
     return Posterior(p.posterior("y", conditioner))
 
 
-def _reweighted_measure(p: JointTable, corruption: FiniteCorruption) -> dict:
-    """Unnormalized (y, x) measure p(y, x) p(y) / p(y | corrupted).
+def _reweighted_by(p: JointTable, images: dict, post: dict) -> dict:
+    """Unnormalized (y, x) measure p(y, x) p(y) / p(y | corrupted), the
+    corruption given as its :func:`_images` and p(y | t) as ``post``.
 
     Sums to one exactly when every corrupted value leaves all labels
     possible; a leaky corruption loses mass instead.
     """
-    images = _images(p.marginal("y", "x").cells, corruption)
-    return _reweighted_by(p, images, _posterior_given_corrupted(p, images))
-
-
-def _reweighted_by(p: JointTable, images: dict, post: dict) -> dict:
-    """:func:`_reweighted_measure` given the corruption's :func:`_images`
-    and p(y | t) as ``post``."""
     y_m = p.marginal("y").cells
     out: dict = {}
     for (y, x), q, pd, t in _pushforward(p.marginal("y", "x").cells, images):
@@ -289,7 +266,8 @@ def _reweighted_by(p: JointTable, images: dict, post: dict) -> dict:
 def corruption_randomize(p: JointTable, corruption: FiniteCorruption) -> JointTable:
     """Reweight the (y, x) joint by p(y) / p(y | corrupted covariate),
     self-normalized so the result is always a distribution."""
-    raw = _reweighted_measure(p, corruption)
+    images = _images(p.marginal("y", "x").cells, corruption)
+    raw = _reweighted_by(p, images, _posterior_given_corrupted(p, images))
     total = math.fsum(raw.values())
     return JointTable(("y", "x"), {k: v / total for k, v in raw.items()})
 

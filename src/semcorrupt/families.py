@@ -22,9 +22,17 @@ from .rng import (GOLDEN, MASK64, Stream, below_rows, box_muller, derive_seeds, 
                   uniform_words)
 
 
+def _unit(rho: float) -> float:
+    """``rho``, refused unless it lies in [0, 1] (NaN included)."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    return rho
+
+
 @dataclass(frozen=True)
 class DiscreteFamily:
-    """Exact finite family; ``joint(rho)`` assembles the full pmf."""
+    """Exact finite family; ``joint(rho)`` assembles the full pmf and
+    ``nuisance_randomized(rho)`` the nuisance-randomized one, rho in [0, 1]."""
 
     name: str
     y_support: tuple
@@ -40,9 +48,19 @@ class DiscreteFamily:
         return tuple(dict.fromkeys(x for x, _z, _xs in self.x_given_z_xstar))
 
     def joint(self, rho: float) -> JointTable:
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        return self.assemble(self.z_given_y(rho))
+        return self.assemble(self.z_given_y(_unit(rho)))
+
+    def nuisance_randomized(self, rho: float) -> JointTable:
+        """p(y) p(z) p(x | y, z) of ``joint(rho)`` from the structural
+        conditionals, defined even where ``joint(rho)`` leaves a (y, z) pair
+        without mass (rho 0 or 1), unlike ``exact.nuisance_randomize``."""
+        zgy = self.z_given_y(_unit(rho))
+        y_m = {}
+        for (y, _xs), q in self.y_xstar.items():
+            y_m[y] = y_m.get(y, 0.0) + q
+        z_m = {z: math.fsum(y_m[y] * zgy.get((z, y), 0.0) for y in self.y_support)
+               for z in self.z_support}
+        return self.assemble({(z, y): z_m[z] for z in self.z_support for y in self.y_support})
 
     def assemble(self, zgy: Mapping) -> JointTable:
         """The (y, z, x) joint p(y, x*) zgy[(z, y)] p(x | z, x*)."""
@@ -251,21 +269,17 @@ def sample_family(family: DiscreteFamily, rho: float, n: int, seed: int) -> Data
     labels = np.array([y_index[y] for (y, _z, _x), _p in items])[picks]
     nuis = np.array([z_index[z] for (_y, z, _x), _p in items])[picks]
     xs = [x for (_y, _z, x), _p in items]
-    return Dataset(
-        covariates=[xs[pick] for pick in picks.tolist()],
-        labels=labels,
-        n_classes=len(family.y_support),
-        nuisances=nuis,
-        groups=labels * len(family.z_support) + nuis,
-        provenance={"family": family.name, "rho": rho, "seed": seed, "n": n},
-    )
+    return _annotated([xs[pick] for pick in picks.tolist()], labels, nuis,
+                      (len(family.y_support), len(family.z_support)),
+                      {"family": family.name, "rho": rho, "seed": seed, "n": n})
 
 
-def _binary(covariates: list, labels, nuis, provenance: dict) -> Dataset:
-    """Binary-label dataset whose group is 2y + z."""
+def _annotated(covariates: list, labels, nuis, sizes: tuple, provenance: dict) -> Dataset:
+    """Dataset with nuisance annotations and group y * (nuisance values) + z,
+    ``sizes`` being (classes, nuisance values)."""
     labels, nuis = np.asarray(labels, dtype=np.int64), np.asarray(nuis, dtype=np.int64)
-    return Dataset(covariates=covariates, labels=labels, n_classes=2,
-                   nuisances=nuis, groups=2 * labels + nuis, provenance=provenance)
+    return Dataset(covariates=covariates, labels=labels, n_classes=sizes[0],
+                   nuisances=nuis, groups=labels * sizes[1] + nuis, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +356,7 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
     removal, and intensity thresholding.  p(z = y) is rho, or 1 - rho when
     ``flip``.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    _unit(rho)
     p_same = 1.0 - rho if flip else rho
     index = np.arange(n)
     labels, nuis, covs = np.empty_like(index), np.empty_like(index), []
@@ -351,8 +364,8 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
         rows = index[at:at + GRID_CHUNK]
         img, labels[rows], nuis[rows] = _image_rows(derive_seeds(seed, rows), p_same)
         covs += grid_rows(img)
-    return _binary(covs, labels, nuis,
-                   {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
+    return _annotated(covs, labels, nuis, (2, 2),
+                      {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +400,7 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
     ``derive_seed(seed, i) + 2 * GOLDEN``, whose word ``k`` is word ``k + 2``
     of the example's stream.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    _unit(rho)
 
     def p_neg(y):
         p = np.where(y == 0, rho, 1.0 - rho)
@@ -413,5 +425,5 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
     # tuples zipped from columns, with no list per row on the way
     premises = list(zip(*premise.T.tolist()))
     hyps = [(u, v, NEG_TOKEN) if neg else (u, v) for u, v, neg in zip(*content.T.tolist(), z)]
-    return _binary(pair_rows(premises, hyps, [MASK_ID] * rows), y, z,
-                   {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})
+    return _annotated(pair_rows(premises, hyps, [MASK_ID] * rows), y, z, (2, 2),
+                      {"task": "nli", "rho": rho, "seed": seed, "n": n, "flip": flip})

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import pickle
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import pairwise
 from typing import Callable
 
@@ -128,6 +128,9 @@ class MethodSpec:
         needs = METHODS[self.name].routine is not None
         if needs != (self.corruption is not None):
             raise ConfigError(f"{self.name} {'needs a' if needs else 'takes no'} corruption")
+        for f in fields(self)[2:]:   # a hyperparameter the method ignores must keep its default
+            if f.name != METHODS[self.name].param and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.name} takes no {f.name}")
 
     @property
     def label(self) -> str:

@@ -25,7 +25,6 @@ from semcorrupt.exact import (
     biased_posterior,
     corruption_bound,
     enumerate_binary_predictors,
-    nuisance_randomize,
     predictor_accuracy,
 )
 from semcorrupt.families import (
@@ -482,7 +481,7 @@ def test_c7_learned_versus_exact(capsys):
         failures.append(f"posterior sup-norm {sup:.4f} > {SUP_TOL}")
 
     ds2 = sample_family(fam, 0.8, 50000, 11)
-    target = nuisance_randomize(fam, 0.8).marginal("y", "x").cells
+    target = fam.nuisance_randomized(0.8).marginal("y", "x").cells
     emp = {}
     for x, y in zip(ds2.covariates, ds2.labels):
         w = 0.5 / post.at((0.0, x[1]))[int(y)]

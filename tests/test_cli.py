@@ -394,6 +394,16 @@ class TestNonFiniteNumerics:
         assert "gamma" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_hyperparameter_the_method_ignores_is_usage_error(self, nli_dir, tmp_path,
+                                                             capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_method", TestUnwritableOutputs.refuse)
+        model_path = tmp_path / "m.bin"
+        code = main(["scam", "--method", "nurd", "--gamma", "5", "--kind", "ngram_randomize",
+                     "--param", "1", "--in", nli_dir, "--out", str(model_path), "--seed", "0"])
+        assert code == 2
+        assert "nurd takes no gamma" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_train_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys):
         model_path = tmp_path / "m.bin"
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -462,6 +472,21 @@ class TestReport:
         rows = out_csv.read_text().strip().split("\n")
         assert len(rows) == 1 + 3 * 3 * 2   # the three methods that completed
         assert len(per_seed.read_text().strip().split("\n")) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("other", ["./{}", "sub/../{}"])
+    def test_same_file_for_both_outputs_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                       other):
+        """Both CSVs opened on one path would leave a torn file; the run
+        stops before it opens either."""
+        monkeypatch.setitem(harness.TASKS, "nli",
+                            replace(harness.TASKS["nli"], preset=tiny_nli_preset))
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code = main(["report", "--task", "nli", "--seeds", "1",
+                     "--out", "same.csv", "--per-seed", other.format("same.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "same.csv").exists()
 
     def test_dying_worker_exits_3_after_writing(self, tmp_path, monkeypatch, capsys):
         """A cell whose worker exits fails; ``report`` still writes both

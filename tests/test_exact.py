@@ -13,7 +13,9 @@ from semcorrupt.exact import (
     FiniteCorruption,
     JointTable,
     UndefinedWeightError,
-    _reweighted_measure,
+    _images,
+    _posterior_given_corrupted,
+    _reweighted_by,
     biased_posterior,
     cond_indep_gap,
     corruption_bound,
@@ -172,13 +174,13 @@ class TestNuisanceRandomize:
     def test_extreme_member_quarter_mass(self):
         # at the deterministic extreme the joint table alone cannot define
         # the broken-link distribution; the family form can
-        out = nuisance_randomize(flip_noise_family(1), 1.0)
+        out = flip_noise_family(1).nuisance_randomized(1.0)
         assert out.marginal("y", "z").cells[(1, 1)] == pytest.approx(0.25, abs=1e-12)
 
     def test_family_form_agrees_with_table_form(self):
         fam = flip_noise_family(1)
         for rho in (0.2, 0.5, 0.9):
-            via_family = nuisance_randomize(fam, rho)
+            via_family = fam.nuisance_randomized(rho)
             via_table = nuisance_randomize(fam.joint(rho))
             assert via_family.l1(via_table) < 1e-12
 
@@ -186,13 +188,13 @@ class TestNuisanceRandomize:
         with pytest.raises(ValueError):
             nuisance_randomize(flip_noise_family(1).joint(1.0))
 
-    def test_family_form_requires_rho(self):
-        with pytest.raises(ValueError):
-            nuisance_randomize(flip_noise_family(1))
-
-    def test_table_form_rejects_spurious_rho(self):
-        with pytest.raises(ValueError):
-            nuisance_randomize(flip_noise_family(1).joint(0.5), 0.5)
+    @pytest.mark.parametrize("rho", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("fam", [flip_noise_family(1), negated_coordinate_family(1.0, 4)],
+                             ids=lambda fam: fam.name)
+    def test_nuisance_randomized_rejects_rho_outside_unit_interval(self, fam, rho):
+        # the family form keeps the rule that joint(rho) keeps
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            fam.nuisance_randomized(rho)
 
     def test_semantics_conditionals_untouched(self):
         # p(x | y, z) must survive the surgery wherever (y, z) keeps mass
@@ -210,7 +212,7 @@ class TestNuisanceRandomize:
             out = nuisance_randomize(flip_noise_family(1).joint(rho))
             assert abs(table_sum(out) - 1.0) < 1e-12
         for rho in (0.0, 0.5, 1.0):
-            out = nuisance_randomize(flip_noise_family(1), rho)
+            out = flip_noise_family(1).nuisance_randomized(rho)
             assert abs(table_sum(out) - 1.0) < 1e-12
 
 
@@ -225,7 +227,8 @@ class TestCorruptionRandomize:
         # restricted to the diagonal
         p = JointTable(("y", "z", "x"), {(0, 0, 0): 0.3, (1, 0, 1): 0.7})
         ident = FiniteCorruption.deterministic(lambda x: x, "copy")
-        raw = _reweighted_measure(p, ident)
+        images = _images(p.marginal("y", "x").cells, ident)
+        raw = _reweighted_by(p, images, _posterior_given_corrupted(p, images))
         assert raw == pytest.approx({(0, 0): 0.09, (1, 1): 0.49}, abs=1e-15)
 
     def test_label_revealing_corruption_normalized_output(self):
@@ -558,6 +561,25 @@ ENGINE_BITS = "639ed45470176055d931a7e28b0360bc654efa0bf2b5a97d6d63062c8770e46e"
 
 def test_engine_bits_are_frozen():
     assert engine_bits_digest() == ENGINE_BITS
+
+
+FAMILY_RANDOMIZED_BITS = "5cbba804f93a2fa9607f19f0dc7ed6b952553665c1611b2f5d6c2c52d2ec8b58"
+
+
+def test_family_randomized_bits_are_frozen():
+    """sha256 over ``float.hex`` of every cell of the family form of the
+    nuisance-randomized joint, six families at seven values of rho, the
+    degenerate extremes 0 and 1 included."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for fam in (flip_noise_family(1), flip_noise_family(2), negated_coordinate_family(1.2, 6),
+                negated_coordinate_family(0.3, 5), xor_sign_family(0.8, 6),
+                xor_sign_family(1.0, 8)):
+        for rho in (0.0, 0.05, 0.3, 0.5, 0.77, 0.95, 1.0):
+            for k, v in sorted(fam.nuisance_randomized(rho).cells.items(), key=repr):
+                h.update(f"{k!r}:{v.hex()};".encode())
+    assert h.hexdigest() == FAMILY_RANDOMIZED_BITS
 
 
 def test_bound_report_excess_is_holds_as_a_distance():

@@ -157,6 +157,18 @@ class TestMethodSpec:
         with pytest.raises(ConfigError, match="erm takes no corruption"):
             MethodSpec("erm", PR8)
 
+    @pytest.mark.parametrize("name, corruption, param", [
+        ("nurd", NR1, {"gamma": 5.0}),
+        ("poe", NR1, {"lambda_up": 3}),
+        ("jtt", NR1, {"gamma": 1.0}),
+        ("erm", None, {"lambda_up": 2}),
+    ], ids=["nurd-gamma", "poe-lambda_up", "jtt-gamma", "erm-lambda_up"])
+    def test_method_takes_no_other_hyperparameter(self, name, corruption, param):
+        # the method would train as if the value were unset
+        field, = param
+        with pytest.raises(ConfigError, match=f"{name} takes no {field}"):
+            MethodSpec(name, corruption, **param)
+
 
 class TestRunMethod:
     @pytest.mark.parametrize("method", [
