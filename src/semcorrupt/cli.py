@@ -26,6 +26,7 @@ from .corruptions import CorruptionSpec, Grid, SentencePair, apply_all
 from .errors import ConfigError, TrainingError, UndefinedWeightError
 from .harness import (
     METHODS,
+    PARAM_DEFAULTS,
     TASKS,
     MethodSpec,
     evaluate,
@@ -216,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", required=True, help="corruption kind")
     s.add_argument("--param", type=float, default=None)
     s.add_argument("--corruption-seed", type=int, default=0)
-    s.add_argument("--lambda-up", type=int, default=6)
-    s.add_argument("--gamma", type=float, default=2.0)
+    s.add_argument("--lambda-up", type=int, default=None,
+                   help=f"jtt only (default {PARAM_DEFAULTS['lambda_up']})")
+    s.add_argument("--gamma", type=float, default=None,
+                   help=f"dfl only (default {PARAM_DEFAULTS['gamma']:g})")
     s.add_argument("--aux-epochs", type=int, default=30)
     s.add_argument("--aux-lr", type=float, default=0.1)
     s.set_defaults(func=_cmd_scam)

@@ -90,13 +90,22 @@ class SentencePair:
 GRID_CHUNK = 64
 
 
-def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> list:
-    """One Grid per row of a (rows, h, w, c) array, its values checked once
-    for the whole array (the checks of every :class:`Grid`).  Each Grid
-    holds a read-only view of its row; the array itself is frozen."""
+class GridRows(tuple):
+    """The Grids of one frozen (rows, h, w, c) array, one per row in order,
+    each holding a read-only view of its row; ``block`` is that array.  A
+    tuple, so that no append or reordering parts the rows from their block
+    (a slice or a reordered copy is a plain tuple or list).  Made by
+    :func:`grid_rows`."""
+
+
+def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> GridRows:
+    """The :class:`GridRows` of a (rows, h, w, c) array, its values checked
+    once for the whole array (the checks of every :class:`Grid`).  The
+    array itself is frozen and becomes their block."""
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite")
-    if unit_range and (values.min() < 0.0 or values.max() > 1.0):
+    # initial= lets an empty array through, as a dataset of no examples
+    if unit_range and (values.min(initial=0.0) < 0.0 or values.max(initial=1.0) > 1.0):
         raise ValueError("grid values must lie in [0, 1]")
     values = np.ascontiguousarray(values)
     values.flags.writeable = False
@@ -105,7 +114,17 @@ def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> list:
         grid = Grid.__new__(Grid)
         grid.values = row
         out.append(grid)
-    return out
+    rows = GridRows(out)
+    rows.block = values
+    return rows
+
+
+def grid_values(covariates) -> np.ndarray:
+    """The (rows, h, w, c) values of grids of one shape: the block of
+    :class:`GridRows`, read in place, or else the rows stacked afresh."""
+    if isinstance(covariates, GridRows):
+        return covariates.block
+    return np.stack([c.values for c in covariates])
 
 
 def pair_rows(premises: list, hypotheses: list, mask_ids: list) -> list:
@@ -523,6 +542,8 @@ def batch_shape(spec: CorruptionSpec, covariates) -> tuple | None:
     included)."""
     if KINDS[spec.kind].batch is None:
         return None
+    if isinstance(covariates, GridRows):
+        return covariates.block.shape[1:] if covariates else None
     shapes = {c.values.shape if isinstance(c, Grid) else None for c in covariates}
     return shapes.pop() if len(shapes) == 1 else None
 
@@ -537,16 +558,17 @@ def shuffle_source(spec: CorruptionSpec, lengths) -> np.ndarray:
                         derive_seeds(derive_seeds(spec.seed, at // 2), at % 2))
 
 
-def apply_all(spec: CorruptionSpec, covariates) -> list:
+def apply_all(spec: CorruptionSpec, covariates):
     """``apply`` to every covariate, with its list position as example
     index.  Grids of one shape under a kind with a batch kernel
-    (:func:`batch_shape`) are one :func:`apply_rows` call, and n-gram
+    (:func:`batch_shape`) are one :func:`apply_rows` call over their
+    :func:`grid_values`, returned as :class:`GridRows`, and n-gram
     shuffles of sentence pairs one :func:`shuffle_source`; anything else
     runs example by example, which gives the same bits."""
-    covariates = list(covariates)
+    if not isinstance(covariates, GridRows):   # a list of it would lose the block
+        covariates = list(covariates)
     if batch_shape(spec, covariates) is not None:
-        drawn = apply_rows(spec, np.stack([c.values for c in covariates]))
-        return grid_rows(drawn, unit_range=False)
+        return grid_rows(apply_rows(spec, grid_values(covariates)), unit_range=False)
     if spec.kind != "ngram_randomize":
         return [apply(spec, cov, i) for i, cov in enumerate(covariates)]
     seqs = token_segments(covariates)

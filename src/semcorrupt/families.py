@@ -222,11 +222,15 @@ def xor_sign_family(shift: float, z_grid_size: int) -> DiscreteFamily:
 class Dataset:
     """Sampled examples; labels are class indices.
 
+    ``covariates`` holds one covariate per example.  Generated, loaded and
+    batch-corrupted grids are a :class:`~semcorrupt.corruptions.GridRows`,
+    the rows of one frozen (n, h, w, c) block that whole-dataset readers
+    read in place.
     ``nuisances`` and ``groups`` are either both present or both absent;
     a group id encodes the (label, nuisance) pair.
     """
 
-    covariates: list
+    covariates: list | tuple
     labels: np.ndarray
     n_classes: int
     nuisances: np.ndarray | None = None
@@ -359,12 +363,13 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
     _unit(rho)
     p_same = 1.0 - rho if flip else rho
     index = np.arange(n)
-    labels, nuis, covs = np.empty_like(index), np.empty_like(index), []
+    labels, nuis = np.empty_like(index), np.empty_like(index)
+    block = np.empty((len(index), IMG_SIZE, IMG_SIZE, 1))
     for at in range(0, len(index), GRID_CHUNK):
-        rows = index[at:at + GRID_CHUNK]
-        img, labels[rows], nuis[rows] = _image_rows(derive_seeds(seed, rows), p_same)
-        covs += grid_rows(img)
-    return _annotated(covs, labels, nuis, (2, 2),
+        rows = slice(at, at + GRID_CHUNK)
+        block[rows], labels[rows], nuis[rows] = _image_rows(derive_seeds(seed, index[rows]),
+                                                            p_same)
+    return _annotated(grid_rows(block), labels, nuis, (2, 2),
                       {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
 
 

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corruptions import CorruptionSpec, Grid, SentencePair, grid_rows, pair_rows
+from .corruptions import (CorruptionSpec, Grid, SentencePair, grid_rows, grid_values,
+                          pair_rows)
 from .errors import ConfigError
 from .exact import (
     BINARY_INPUTS,
@@ -111,16 +112,21 @@ METHODS = {
     "poe": Method("poe+{1}", "run_poe", scheme="challenge"),
     "dfl": Method("dfl{0.gamma:g}+{1}", "run_dfl", "gamma", "challenge"),
 }
+# the value of a method's hyperparameter when its MethodSpec leaves it None
+PARAM_DEFAULTS = {"lambda_up": 6, "gamma": 2.0}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One benchmark entry: a :data:`METHODS` name plus its corruption."""
+    """One benchmark entry: a :data:`METHODS` name plus its corruption and
+    the hyperparameter its method takes, None meaning its
+    :data:`PARAM_DEFAULTS` value.  Any other hyperparameter must stay None,
+    even at that value: the method would train as if it were unset."""
 
     name: str
     corruption: CorruptionSpec | None = None
-    lambda_up: int = 6
-    gamma: float = 2.0
+    lambda_up: int | None = None
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.name not in METHODS:
@@ -128,9 +134,12 @@ class MethodSpec:
         needs = METHODS[self.name].routine is not None
         if needs != (self.corruption is not None):
             raise ConfigError(f"{self.name} {'needs a' if needs else 'takes no'} corruption")
-        for f in fields(self)[2:]:   # a hyperparameter the method ignores must keep its default
-            if f.name != METHODS[self.name].param and getattr(self, f.name) != f.default:
-                raise ConfigError(f"{self.name} takes no {f.name}")
+        for f in fields(self)[2:]:
+            if f.name != METHODS[self.name].param:
+                if getattr(self, f.name) is not None:
+                    raise ConfigError(f"{self.name} takes no {f.name}")
+            elif getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, PARAM_DEFAULTS[f.name])
 
     @property
     def label(self) -> str:
@@ -816,7 +825,7 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
         "provenance": dataset.provenance,
     }
     if isinstance(first, Grid):
-        arr = np.stack([c.values for c in dataset.covariates])
+        arr = grid_values(dataset.covariates)
         unit = bool((arr >= 0.0).all() and (arr <= 1.0).all())
         # single-precision payload when it loses nothing (generated grids are
         # snapped to single precision); otherwise keep full doubles so that the

@@ -15,7 +15,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .corruptions import Grid, token_segments
+from .corruptions import Grid, GridRows, token_segments
 from .errors import DispatchError, TrainingError
 from .rng import Stream, as_words, below_rows, derive_seed, derive_seeds
 
@@ -89,7 +89,11 @@ class NgramLayout:
 
 
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:
-    """Stack per-example feature vectors into an (n, d) float64 matrix."""
+    """Stack per-example feature vectors into an (n, d) float64 matrix.
+    Flattened :class:`~semcorrupt.corruptions.GridRows` are a read-only
+    view of their block, not a copy."""
+    if spec.kind == "flatten_grid" and isinstance(covariates, GridRows) and covariates:
+        return covariates.block.reshape(len(covariates), -1)
     covariates = list(covariates)
     if not covariates:
         return np.zeros((0, 0))

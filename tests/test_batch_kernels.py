@@ -7,6 +7,8 @@ calls, including on the rare words that ``below`` rejects, which are forced
 here by inverting the SplitMix64 finalizer.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from semcorrupt.corruptions import (
     GRID_CHUNK,
     CorruptionSpec,
     Grid,
+    GridRows,
     SentencePair,
     TokenSeq,
     apply,
@@ -24,6 +27,7 @@ from semcorrupt.corruptions import (
     gauss_noise,
     gauss_noise_rows,
     grid_rows,
+    grid_values,
     intensity_filter,
     intensity_filter_rows,
     ngram_randomize,
@@ -36,7 +40,8 @@ from semcorrupt.corruptions import (
 )
 from semcorrupt.errors import DispatchError
 from semcorrupt import scams
-from semcorrupt.families import Dataset, synthetic_nli_task
+from semcorrupt.families import Dataset, synthetic_image_task, synthetic_nli_task
+from semcorrupt.harness import load_dataset, save_dataset
 from semcorrupt.learner import FeatureSpec, NgramLayout, featurize
 from semcorrupt.rng import Stream, derive_seed, derive_seeds
 from semcorrupt.scams import FeatureStore, corrupted_features
@@ -499,6 +504,85 @@ def test_grid_rows_check_like_grid():
     assert grid_rows(np.full((2, 3, 3, 1), 1.5), unit_range=False)[1].values.max() == 1.5
     with pytest.raises(ValueError):
         grid_rows(np.full((1, 2, 2, 1), np.nan), unit_range=False)
+
+
+# ---------------------------------------------------------------------------
+# one frozen block per grid dataset, read in place
+
+BATCH_SPECS = [CorruptionSpec(kind, param, 5) for kind, param in
+               (("patch_randomize", 8), ("roi_mask", 16), ("freq_filter", 30),
+                ("intensity_filter", 0.4), ("gauss_noise", 0.01))]
+
+
+def block_rows_of_every_maker(tmp_path) -> list:
+    """The generator's rows, each batch kind's apply_all rows and the rows
+    of a saved and reloaded dataset (single and double precision)."""
+    ds = synthetic_image_task(0.9, GRID_CHUNK + 9, 3)
+    made = [ds.covariates] + [apply_all(spec, ds.covariates) for spec in BATCH_SPECS]
+    for i, covs in enumerate(made[:4]):   # the freq_filter rows leave [0, 1]
+        save_dataset(Dataset(covs, ds.labels, 2), str(tmp_path / str(i)))
+        made.append(load_dataset(str(tmp_path / str(i))).covariates)
+    return made
+
+
+def test_grid_datasets_are_rows_of_one_block_read_in_place(tmp_path):
+    fs = FeatureSpec("flatten_grid")
+    for rows in block_rows_of_every_maker(tmp_path):
+        assert isinstance(rows, GridRows)
+        assert rows.block.shape == (len(rows), 32, 32, 1) and not rows.block.flags.writeable
+        assert all(np.shares_memory(g.values, rows.block[i]) for i, g in enumerate(rows))
+        X = featurize(fs, rows)
+        assert np.shares_memory(X, rows[0].values) and not X.flags.writeable
+        assert X.tobytes() == np.stack([g.values.reshape(-1) for g in rows]).tobytes()
+        assert grid_values(rows) is rows.block
+
+
+def test_rows_without_their_block_are_stacked_with_the_same_bits():
+    rows = synthetic_image_task(0.9, 40, 4).covariates
+    fs = FeatureSpec("flatten_grid")
+    for covs in ([Grid(g.values) for g in rows], list(reversed(rows)), rows[3:30]):
+        assert not isinstance(covs, GridRows)
+        stacked = np.stack([g.values for g in covs])
+        assert np.array_equal(grid_values(covs), stacked)
+        assert np.array_equal(featurize(fs, covs), stacked.reshape(len(covs), -1))
+        for spec in BATCH_SPECS:
+            assert [g.values.tobytes() for g in apply_all(spec, covs)] == \
+                [apply(spec, g, i).values.tobytes() for i, g in enumerate(covs)]
+
+
+def test_block_rows_cannot_be_changed():
+    rows = synthetic_image_task(0.9, 3, 4).covariates
+    with pytest.raises(AttributeError):
+        rows.append(rows[0])
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    with pytest.raises(ValueError, match="read-only"):
+        rows.block[0, 0, 0, 0] = 0.0
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` held at its peak, numpy buffers included,
+    above what was held before the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_whole_dataset_readers_copy_no_block(tmp_path):
+    """On 1500 generated images (12 MiB of float64 pixels) featurize copies
+    nothing and save_dataset holds less than one float64 copy at its peak
+    (its single-precision payload and the value checks)."""
+    ds = synthetic_image_task(0.9, 1500, 0)
+    assert traced_peak(featurize, FeatureSpec("flatten_grid"), ds.covariates) < 2**20
+    assert traced_peak(save_dataset, ds, str(tmp_path / "d")) < ds.covariates.block.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from semcorrupt import cli, harness
 from semcorrupt.cli import main
+from semcorrupt.corruptions import CorruptionSpec
 from semcorrupt.errors import TrainingError
 from semcorrupt.families import (
     Dataset,
@@ -24,6 +25,7 @@ from semcorrupt.families import (
     xor_sign_family,
 )
 from semcorrupt.harness import (
+    MethodSpec,
     desk_nli_experiment,
     evaluate,
     load_dataset,
@@ -32,6 +34,9 @@ from semcorrupt.harness import (
     save_model,
 )
 from semcorrupt.learner import FeatureSpec, LinearModel
+
+
+NR1 = CorruptionSpec("ngram_randomize", 1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +408,36 @@ class TestNonFiniteNumerics:
         assert code == 2
         assert "nurd takes no gamma" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("method,flag,value", [("nurd", "--gamma", "2"),
+                                                   ("dfl", "--lambda-up", "6")])
+    def test_ignored_hyperparameter_at_its_default_is_usage_error(
+            self, nli_dir, tmp_path, capsys, monkeypatch, method, flag, value):
+        monkeypatch.setattr(cli, "run_method", TestUnwritableOutputs.refuse)
+        model_path = tmp_path / "m.bin"
+        code = main(["scam", "--method", method, flag, value, "--kind", "ngram_randomize",
+                     "--param", "1", "--in", nli_dir, "--out", str(model_path), "--seed", "0"])
+        assert code == 2
+        assert f"{method} takes no {flag[2:].replace('-', '_')}" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--method", "jtt"], MethodSpec("jtt", NR1)),
+        (["--method", "jtt", "--lambda-up", "3"], MethodSpec("jtt", NR1, lambda_up=3)),
+        (["--method", "dfl"], MethodSpec("dfl", NR1)),
+        (["--method", "dfl", "--gamma", "0.5"], MethodSpec("dfl", NR1, gamma=0.5)),
+    ])
+    def test_scam_trains_the_method_spec_it_is_given(self, nli_dir, tmp_path, monkeypatch,
+                                                    argv, want):
+        seen = []
+
+        def record(method, *args):
+            seen.append(method)
+            raise TrainingError("stop")
+        monkeypatch.setattr(cli, "run_method", record)
+        assert main(["scam", *argv, "--kind", "ngram_randomize", "--param", "1",
+                     "--in", nli_dir, "--out", str(tmp_path / "m.bin"), "--seed", "0"]) == 3
+        assert seen == [want]
 
     def test_train_diverging_on_last_step_exits_3(self, huge_dir, tmp_path, capsys):
         model_path = tmp_path / "m.bin"

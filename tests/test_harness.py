@@ -162,7 +162,10 @@ class TestMethodSpec:
         ("poe", NR1, {"lambda_up": 3}),
         ("jtt", NR1, {"gamma": 1.0}),
         ("erm", None, {"lambda_up": 2}),
-    ], ids=["nurd-gamma", "poe-lambda_up", "jtt-gamma", "erm-lambda_up"])
+        ("nurd", NR1, {"gamma": 2.0}),
+        ("dfl", NR1, {"lambda_up": 6}),
+    ], ids=["nurd-gamma", "poe-lambda_up", "jtt-gamma", "erm-lambda_up",
+            "nurd-gamma-at-dfl-default", "dfl-lambda_up-at-jtt-default"])
     def test_method_takes_no_other_hyperparameter(self, name, corruption, param):
         # the method would train as if the value were unset
         field, = param
