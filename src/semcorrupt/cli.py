@@ -73,9 +73,10 @@ def _cmd_corrupt(args) -> int:
     source = ds.provenance
     if "corruption" in source:   # a chained corruption keeps the earlier record whole
         source = {"source": source}
-    out = replace(ds, covariates=apply_all(spec, ds.covariates),
-                  provenance=source | {"corruption": spec.label, "corruption_seed": spec.seed})
-    save_dataset(out, args.out)
+    # rebound, so the input dataset is let go before the output is saved
+    ds = replace(ds, covariates=apply_all(spec, ds.covariates),
+                 provenance=source | {"corruption": spec.label, "corruption_seed": spec.seed})
+    save_dataset(ds, args.out)
     print(f"applied {spec.label} to {len(ds)} examples -> {args.out}")
     return 0
 

@@ -87,6 +87,9 @@ class SentencePair:
 # 82 MiB against 44-73 ms and 15 MiB, gauss_noise_rows 70-76 ms and 59 MiB
 # against 47-62 ms and 14 MiB.  The other kernels run as one call:
 # patch_rows 8 took 3.2-6.2 ms, against 5.9-11.3 ms in 64-row chunks.
+# harness.save_dataset and load_dataset move grid payloads this many rows
+# at a time too, so saving or loading a dataset holds its float64 block and
+# at most one chunk beside it.
 GRID_CHUNK = 64
 
 
@@ -100,12 +103,15 @@ class GridRows(tuple):
 
 def grid_rows(values: np.ndarray, *, unit_range: bool = True) -> GridRows:
     """The :class:`GridRows` of a (rows, h, w, c) array, its values checked
-    once for the whole array (the checks of every :class:`Grid`).  The
-    array itself is frozen and becomes their block."""
-    if not np.all(np.isfinite(values)):
+    once for the whole array (the checks of every :class:`Grid`) from its
+    minimum and maximum alone, so that no mask of the array's size is made.
+    The array itself is frozen and becomes their block."""
+    # initial= lets an empty array through, as a dataset of no examples; a
+    # NaN anywhere makes the minimum NaN, an infinity the minimum or maximum
+    low, high = values.min(initial=0.0), values.max(initial=1.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("grid values must be finite")
-    # initial= lets an empty array through, as a dataset of no examples
-    if unit_range and (values.min(initial=0.0) < 0.0 or values.max(initial=1.0) > 1.0):
+    if unit_range and (low < 0.0 or high > 1.0):
         raise ValueError("grid values must lie in [0, 1]")
     values = np.ascontiguousarray(values)
     values.flags.writeable = False

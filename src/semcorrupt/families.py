@@ -329,11 +329,11 @@ _GLYPHS = np.stack([_glyph_block(0), _glyph_block(1)])
 _IMAGE_WORDS = 2 + IMG_SIZE * IMG_SIZE
 
 
-def _image_rows(seeds: np.ndarray, p_same: float) -> tuple:
-    """(pixels (rows, 32, 32, 1), labels, nuisances) of the examples whose
-    streams are seeded ``seeds``, each drawn as ``Stream`` would: ``y =
-    below(2)``, ``z = y if uniform() < p_same else 1 - y``, then
-    ``normals(1024)`` of pixel noise."""
+def _image_rows(seeds: np.ndarray, p_same: float, out: np.ndarray) -> tuple:
+    """(labels, nuisances) of the examples whose streams are seeded
+    ``seeds``, each drawn as ``Stream`` would: ``y = below(2)``, ``z = y if
+    uniform() < p_same else 1 - y``, then ``normals(1024)`` of pixel noise.
+    Their pixels, snapped to single precision, fill ``out`` (rows, 32, 32, 1)."""
     words = stream_words(seeds, _IMAGE_WORDS)
     # below(2) takes one word and never rejects it: 2**64 % 2 == 0
     y = (words[:, 0] % np.uint64(2)).astype(np.int64)
@@ -343,8 +343,8 @@ def _image_rows(seeds: np.ndarray, p_same: float) -> tuple:
     img = _TEXTURES[z]
     img[:, lo:hi, lo:hi] = _GLYPHS[y]
     img += PIXEL_NOISE_SD * box_muller(u[:, 1:]).reshape(-1, IMG_SIZE, IMG_SIZE)
-    img = np.clip(img, 0.0, 1.0).astype(np.float32).astype(np.float64)
-    return img[..., np.newaxis], y, z
+    out[..., 0] = np.clip(img, 0.0, 1.0, out=img).astype(np.float32)
+    return y, z
 
 
 def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> Dataset:
@@ -367,8 +367,8 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
     block = np.empty((len(index), IMG_SIZE, IMG_SIZE, 1))
     for at in range(0, len(index), GRID_CHUNK):
         rows = slice(at, at + GRID_CHUNK)
-        block[rows], labels[rows], nuis[rows] = _image_rows(derive_seeds(seed, index[rows]),
-                                                            p_same)
+        labels[rows], nuis[rows] = _image_rows(derive_seeds(seed, index[rows]), p_same,
+                                               block[rows])
     return _annotated(grid_rows(block), labels, nuis, (2, 2),
                       {"task": "image", "rho": rho, "seed": seed, "n": n, "flip": flip})
 

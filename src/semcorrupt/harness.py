@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corruptions import (CorruptionSpec, Grid, SentencePair, grid_rows, grid_values,
-                          pair_rows)
+from .corruptions import (GRID_CHUNK, CorruptionSpec, Grid, SentencePair, grid_rows,
+                          grid_values, pair_rows)
 from .errors import ConfigError
 from .exact import (
     BINARY_INPUTS,
@@ -759,15 +759,16 @@ def _json_object(text, where: str) -> dict:
     return obj
 
 
+def _is_count(value, low: int) -> bool:
+    """Whether ``value`` is an int, not a bool, of at least ``low``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def _field(obj: dict, key: str, kind: type, where: str, low: int = 0):
     """``obj[key]``, which must be a ``kind`` (an int must not be a bool and
     must be at least ``low``); ConfigError naming ``where`` if not."""
     value = obj.get(key)
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool) and value >= low
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
+    if not (_is_count(value, low) if kind is int else isinstance(value, kind)):
         raise ConfigError(f"{where}: {key!r} is missing or not a valid {kind.__name__}")
     return value
 
@@ -814,7 +815,9 @@ def _feature_spec(obj, where: str) -> FeatureSpec:
 
 def save_dataset(dataset: Dataset, dir_path: str) -> None:
     """meta.json + labels.csv + data.bin (little-endian payload whose layout
-    depends on the covariate kind)."""
+    depends on the covariate kind).  A grid payload's precision is tested
+    and its values written ``GRID_CHUNK`` rows at a time, so no copy of the
+    dataset's values is made."""
     if len(dataset) == 0:
         raise ConfigError("refusing to save an empty dataset")
     first = dataset.covariates[0]
@@ -826,15 +829,15 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
     }
     if isinstance(first, Grid):
         arr = grid_values(dataset.covariates)
-        unit = bool((arr >= 0.0).all() and (arr <= 1.0).all())
+        unit = bool(arr.min() >= 0.0 and arr.max() <= 1.0)
+        chunks = [arr[at : at + GRID_CHUNK] for at in range(0, len(arr), GRID_CHUNK)]
         # single-precision payload when it loses nothing (generated grids are
         # snapped to single precision); otherwise keep full doubles so that the
         # save -> load round trip is always bit-exact.
-        a32 = arr.astype("<f4")
-        payload = a32 if (a32 == arr).all() else arr.astype("<f8", copy=False)
-        del a32
+        dtype = "<f4" if all((c.astype("<f4") == c).all() for c in chunks) else "<f8"
+        payload = (c.astype(dtype, copy=False) for c in chunks)
         meta |= {"kind": "grid", "shape": list(arr.shape[1:]),
-                 "unit_range": unit, "dtype": payload.dtype.str}
+                 "unit_range": unit, "dtype": dtype}
     elif isinstance(first, SentencePair):
         words = []
         for pair in dataset.covariates:
@@ -845,7 +848,7 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
             words.extend(pair.hypothesis.tokens)
         meta |= {"kind": "pair"}
         try:
-            payload = np.array(words, dtype="<i4")
+            payload = [np.array(words, dtype="<i4")]
         except OverflowError:
             raise ConfigError("a pair payload holds 32-bit words: token and mask ids "
                               f"must be at most {2**31 - 1} to be saved") from None
@@ -855,13 +858,13 @@ def save_dataset(dataset: Dataset, dir_path: str) -> None:
         if not np.all(np.isfinite(arr)):
             raise ConfigError("refusing to save a vector dataset with non-finite values")
         meta |= {"kind": "vector", "dim": int(arr.shape[1])}
-        payload = arr.astype("<f8", copy=False)
+        payload = [arr.astype("<f8", copy=False)]
     os.makedirs(dir_path, exist_ok=True)
     with open(os.path.join(dir_path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(dir_path, "data.bin"), "wb") as fh:
-        fh.write(payload)
+        fh.writelines(payload)
     with open(os.path.join(dir_path, "labels.csv"), "w") as fh:
         if dataset.groups is None:
             fh.write("index,label\n")
@@ -878,7 +881,9 @@ def load_dataset(dir_path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.  A damaged file
     (missing or ill-typed meta keys, a payload or label table whose size
     disagrees with the meta, non-finite vector values, an index column
-    other than 0..n-1) raises ConfigError."""
+    other than 0..n-1) raises ConfigError.  A grid payload's size is checked
+    against the meta before its block is allocated, and it is read into the
+    block ``GRID_CHUNK`` rows at a time."""
     meta_path = os.path.join(dir_path, "meta.json")
     with open(meta_path, "rb") as fh:
         meta = _json_object(fh.read(), meta_path)
@@ -887,42 +892,43 @@ def load_dataset(dir_path: str) -> Dataset:
     kind = _field(meta, "kind", str, meta_path)
     data_path = os.path.join(dir_path, "data.bin")
     with open(data_path, "rb") as fh:
-        payload = fh.read()
-    if kind == "grid":
-        shape = tuple(_field(meta, "shape", list, meta_path))
-        dtype = _field(meta, "dtype", str, meta_path)
-        unit_range = _field(meta, "unit_range", bool, meta_path)
-        if (len(shape) != 3 or dtype not in ("<f4", "<f8")
-                or not all(isinstance(d, int) and d >= 1 for d in shape)):
-            raise ConfigError(f"{meta_path}: bad grid shape {shape} or dtype {dtype!r}")
-        arr = _payload(payload, dtype, (n,) + shape, data_path).astype(np.float64)
-        covs = grid_rows(arr, unit_range=unit_range)
-    elif kind == "pair":
-        words = _payload(payload, "<i4", (len(payload) // 4,), data_path).tolist()
-        # each pair: its mask id, then each sentence's length and tokens
-        masks, seqs, at = [], [], 0
-        for _ in range(n):
-            if at >= len(words):
-                raise ConfigError(f"{data_path}: pair payload ends early")
-            masks.append(words[at])
-            at += 1
-            for _sentence in range(2):
-                if at >= len(words) or not 0 <= words[at] < len(words) - at:
+        if kind == "grid":
+            shape = tuple(_field(meta, "shape", list, meta_path))
+            dtype = _field(meta, "dtype", str, meta_path)
+            unit_range = _field(meta, "unit_range", bool, meta_path)
+            if (len(shape) != 3 or dtype not in ("<f4", "<f8")
+                    or not all(_is_count(d, 1) for d in shape)):
+                raise ConfigError(f"{meta_path}: bad grid shape {shape} or dtype {dtype!r}")
+            covs = grid_rows(_grid_block(fh, dtype, (n,) + shape, data_path),
+                             unit_range=unit_range)
+        elif kind == "pair":
+            payload = fh.read()
+            words = _payload(payload, "<i4", (len(payload) // 4,), data_path).tolist()
+            # each pair: its mask id, then each sentence's length and tokens
+            masks, seqs, at = [], [], 0
+            for _ in range(n):
+                if at >= len(words):
                     raise ConfigError(f"{data_path}: pair payload ends early")
-                count = words[at]
-                seqs.append(tuple(words[at + 1 : at + 1 + count]))
-                at += 1 + count
-        if at != len(words):
-            raise ConfigError("trailing data in pair payload")
-        covs = pair_rows(seqs[0::2], seqs[1::2], masks)
-    elif kind == "vector":
-        dim = _field(meta, "dim", int, meta_path)
-        arr = _payload(payload, "<f8", (n, dim), data_path)
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{data_path} holds non-finite vector values")
-        covs = [tuple(float(v) for v in row) for row in arr]
-    else:
-        raise ConfigError(f"{meta_path}: unknown kind {kind!r}")
+                masks.append(words[at])
+                at += 1
+                for _sentence in range(2):
+                    if at >= len(words) or not 0 <= words[at] < len(words) - at:
+                        raise ConfigError(f"{data_path}: pair payload ends early")
+                    count = words[at]
+                    seqs.append(tuple(words[at + 1 : at + 1 + count]))
+                    at += 1 + count
+            if at != len(words):
+                raise ConfigError("trailing data in pair payload")
+            covs = pair_rows(seqs[0::2], seqs[1::2], masks)
+        elif kind == "vector":
+            payload = fh.read()
+            dim = _field(meta, "dim", int, meta_path)
+            arr = _payload(payload, "<f8", (n, dim), data_path)
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{data_path} holds non-finite vector values")
+            covs = [tuple(float(v) for v in row) for row in arr]
+        else:
+            raise ConfigError(f"{meta_path}: unknown kind {kind!r}")
     labels_path = os.path.join(dir_path, "labels.csv")
     header = "index,label,nuisance,group" if has_groups else "index,label"
     with open(labels_path) as fh:
@@ -951,10 +957,32 @@ def load_dataset(dir_path: str) -> Dataset:
     )
 
 
+def _fits(size: int, dtype: str, shape: tuple, path: str) -> None:
+    """ConfigError unless ``size`` bytes hold exactly ``dtype`` values of ``shape``."""
+    if size != np.dtype(dtype).itemsize * math.prod(shape):
+        raise ConfigError(f"{path} holds {size} bytes, which do not fit "
+                          f"{dtype} values of shape {shape}")
+
+
 def _payload(payload: bytes, dtype: str, shape: tuple, path: str) -> np.ndarray:
     """``payload`` as an array of ``shape``; ConfigError when its length
     does not fit."""
-    if len(payload) != np.dtype(dtype).itemsize * math.prod(shape):
-        raise ConfigError(f"{path} holds {len(payload)} bytes, which do not fit "
-                          f"{dtype} values of shape {shape}")
+    _fits(len(payload), dtype, shape, path)
     return np.frombuffer(payload, dtype=dtype).reshape(shape)
+
+
+def _grid_block(fh, dtype: str, shape: tuple, path: str) -> np.ndarray:
+    """The float64 block of ``shape`` whose ``dtype`` values file ``fh``
+    holds, read ``GRID_CHUNK`` rows at a time.  The file's size is checked
+    before the block is allocated, so a header that claims more rows than
+    the file holds is a ConfigError, not a MemoryError."""
+    _fits(os.fstat(fh.fileno()).st_size, dtype, shape, path)
+    block = np.empty(shape)
+    for at in range(0, len(block), GRID_CHUNK):
+        rows = block[at : at + GRID_CHUNK]
+        want = rows.size * np.dtype(dtype).itemsize
+        chunk = fh.read(want)
+        if len(chunk) < want:   # the file was cut after its size was read
+            _fits(fh.tell(), dtype, shape, path)
+        rows[...] = np.frombuffer(chunk, dtype).reshape(rows.shape)
+    return block

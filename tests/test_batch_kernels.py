@@ -7,6 +7,7 @@ calls, including on the rare words that ``below`` rejects, which are forced
 here by inverting the SplitMix64 finalizer.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -506,6 +507,18 @@ def test_grid_rows_check_like_grid():
         grid_rows(np.full((1, 2, 2, 1), np.nan), unit_range=False)
 
 
+@pytest.mark.parametrize("unit_range", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_rows_find_one_non_finite_value_anywhere(bad, unit_range):
+    """The finiteness check reads the block's minimum and maximum only; one
+    NaN or infinity among in-range values, past the first chunk, must
+    still be refused as non-finite."""
+    values = np.full((GRID_CHUNK + 3, 2, 2, 1), 0.5)
+    values[GRID_CHUNK + 1, 1, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        grid_rows(values, unit_range=unit_range)
+
+
 # ---------------------------------------------------------------------------
 # one frozen block per grid dataset, read in place
 
@@ -583,6 +596,44 @@ def test_whole_dataset_readers_copy_no_block(tmp_path):
     ds = synthetic_image_task(0.9, 1500, 0)
     assert traced_peak(featurize, FeatureSpec("flatten_grid"), ds.covariates) < 2**20
     assert traced_peak(save_dataset, ds, str(tmp_path / "d")) < ds.covariates.block.nbytes
+
+
+@pytest.fixture(scope="module")
+def saved_image_sets(tmp_path_factory):
+    """1500 generated images (12 MiB of float64 pixels) saved with a
+    single-precision payload, and their freq_filter 30 corruption, whose
+    values leave [0, 1], saved with a double-precision one."""
+    root = tmp_path_factory.mktemp("payloads")
+    ds = synthetic_image_task(0.9, 1500, 0)
+    save_dataset(ds, str(root / "f4"))
+    filtered = apply_all(CorruptionSpec("freq_filter", 30, 7), ds.covariates)
+    save_dataset(Dataset(filtered, ds.labels, 2), str(root / "f8"))
+    for name, dtype in (("f4", "<f4"), ("f8", "<f8")):
+        assert json.loads((root / name / "meta.json").read_text())["dtype"] == dtype
+    return root
+
+
+def test_load_dataset_holds_the_block_and_one_chunk(saved_image_sets):
+    """A single-precision payload is read a chunk at a time into the
+    float64 block, with no whole-payload copy beside it."""
+    block_bytes = 1500 * 32 * 32 * 8
+    assert traced_peak(load_dataset, str(saved_image_sets / "f4")) < block_bytes + 2**20
+
+
+@pytest.mark.parametrize("payload", ["f4", "f8"])
+def test_save_dataset_writes_a_chunk_at_a_time(saved_image_sets, tmp_path, payload):
+    """Neither the value checks nor the payload of either precision make a
+    whole-dataset copy."""
+    ds = load_dataset(str(saved_image_sets / payload))
+    assert traced_peak(save_dataset, ds, str(tmp_path / "d")) < 2**20
+    for name in ("meta.json", "data.bin", "labels.csv"):
+        assert (tmp_path / "d" / name).read_bytes() == \
+            (saved_image_sets / payload / name).read_bytes()
+
+
+def test_grid_rows_checks_allocate_no_mask(saved_image_sets):
+    block = load_dataset(str(saved_image_sets / "f4")).covariates.block
+    assert traced_peak(grid_rows, block) < 2**20
 
 
 # ---------------------------------------------------------------------------

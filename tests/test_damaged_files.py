@@ -5,11 +5,13 @@ deleted, a ``labels.csv`` row dropped), ``train``, ``eval`` and ``corrupt``
 must refuse with exit 2 (a bad file) or 3 (an unreadable one): never an
 uncaught exception, never exit 1, which is kept for failed verification,
 and never exit 0.  Non-finite values in a vector payload are bad data
-(exit 2) too.
+(exit 2) too, and so are a grid payload cut or extended at a chunk
+boundary and a ``meta.json`` grid shape that is not all counts.
 """
 
 import json
 import math
+import os
 import shutil
 import struct
 import tempfile
@@ -19,8 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semcorrupt.cli import main
+from semcorrupt.corruptions import GRID_CHUNK
+from semcorrupt.errors import ConfigError
 from semcorrupt.families import sample_family, xor_sign_family
-from semcorrupt.harness import save_dataset
+from semcorrupt.harness import load_dataset, save_dataset
 
 CORRUPTION = {"image": ("patch_randomize", "4"), "nli": ("ngram_randomize", "1"),
               "vector": ("coordinate_mask", "0")}
@@ -125,3 +129,67 @@ def test_negative_pair_word_exits_2(saved, tmp_path, capsys, command, word, mess
     payload.write_bytes(bytes(words))
     assert main(_commands(tmp_path, "nli")[command]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "corrupt"])
+def test_boolean_grid_dimension_exits_2(saved, tmp_path, capsys, command):
+    """true is an int to Python but no grid dimension; the file is refused
+    as a bad shape, before numpy sees it."""
+    shutil.copytree(saved / "image", tmp_path, dirs_exist_ok=True)
+    meta_path = tmp_path / "data" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["shape"][2] = True
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="bad grid shape"):
+        load_dataset(str(tmp_path / "data"))
+    assert main(_commands(tmp_path, "image")[command]) == 2
+    assert f"{meta_path}: bad grid shape" in capsys.readouterr().err
+
+
+CHUNKED_N = 2 * GRID_CHUNK + 5
+
+
+@pytest.fixture(scope="module")
+def chunked(saved, tmp_path_factory):
+    """CHUNKED_N saved images, three chunks of payload: ``f4`` as generated
+    (a single-precision payload) and ``f8``, its freq_filter 30 corruption,
+    whose values leave [0, 1] (a double-precision one); each beside the
+    image model of ``saved``."""
+    root = tmp_path_factory.mktemp("chunked")
+    assert main(["gen", "--task", "image", "--rho", "0.9", "--n", str(CHUNKED_N),
+                 "--seed", "2", "--out", str(root / "f4" / "data")]) == 0
+    assert main(["corrupt", "--in", str(root / "f4" / "data"), "--kind", "freq_filter",
+                 "--param", "30", "--seed", "0", "--out", str(root / "f8" / "data")]) == 0
+    for payload in ("f4", "f8"):
+        meta = json.loads((root / payload / "data" / "meta.json").read_text())
+        assert meta["dtype"] == "<" + payload
+        shutil.copy(saved / "image" / "model.bin", root / payload / "model.bin")
+    return root
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "corrupt"])
+@pytest.mark.parametrize("damage", ["cut_one_byte", "cut_to_one_chunk", "add_one_byte"])
+@pytest.mark.parametrize("payload", ["f4", "f8"])
+def test_grid_payload_of_wrong_size_exits_2(chunked, tmp_path, capsys, payload, damage,
+                                            command):
+    shutil.copytree(chunked / payload, tmp_path, dirs_exist_ok=True)
+    data = tmp_path / "data" / "data.bin"
+    raw = data.read_bytes()
+    chunk = GRID_CHUNK * len(raw) // CHUNKED_N
+    data.write_bytes({"cut_one_byte": raw[:-1], "cut_to_one_chunk": raw[:chunk],
+                      "add_one_byte": raw + b"\0"}[damage])
+    assert main(_commands(tmp_path, "image")[command]) == 2
+    assert f"{data} holds {len(data.read_bytes())} bytes, which do not fit" in \
+        capsys.readouterr().err
+
+
+def test_grid_payload_cut_while_read_is_a_size_mismatch(chunked, tmp_path, monkeypatch):
+    """A data.bin cut after its size was checked (the size check sees the
+    whole file) is refused as the short read it makes."""
+    shutil.copytree(chunked / "f4", tmp_path, dirs_exist_ok=True)
+    data = tmp_path / "data" / "data.bin"
+    whole = os.stat(data)
+    data.write_bytes(data.read_bytes()[:-1])
+    monkeypatch.setattr(os, "fstat", lambda fd: whole)
+    with pytest.raises(ConfigError, match=f"holds {whole.st_size - 1} bytes, which do not fit"):
+        load_dataset(str(tmp_path / "data"))
