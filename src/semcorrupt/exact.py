@@ -8,6 +8,7 @@ precision on small synthetic families.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,7 +25,11 @@ class JointTable:
     """Sparse exact pmf over a tuple of named variables.
 
     A table is immutable: its marginals are kept on first request, so
-    ``cells`` must never be mutated.
+    ``cells`` must never be mutated.  The constructor checks every cell (a
+    key of the variables' arity, a probability that is not NaN and not
+    negative beyond rounding dust, which it drops) and that the cells sum
+    to one, so none is infinite.  A marginal sums cells already checked,
+    so it checks only its names (known, none repeated) and its total.
     """
 
     __slots__ = ("variables", "cells", "_supports", "_marginals")
@@ -44,13 +49,19 @@ class JointTable:
             elif not p >= -1e-15:   # NaN fails every comparison
                 kind = "negative" if p < 0.0 else "non-finite"
                 raise ValueError(f"{kind} probability {p} at {k!r}")
-        total = math.fsum(clean.values())
+        self._hold(vs, clean)
+
+    def _hold(self, variables: tuple, cells: dict) -> "JointTable":
+        """This table, holding ``cells`` (positive floats keyed by tuples of
+        the arity of ``variables``) once their total is checked."""
+        total = math.fsum(cells.values())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.variables = vs
-        self.cells = clean
+        self.variables = variables
+        self.cells = cells
         self._supports = None
         self._marginals = {}
+        return self
 
     @property
     def supports(self) -> dict:
@@ -73,16 +84,19 @@ class JointTable:
         if kept is not None:
             return kept
         idx = self._indices(names)
-        if len(idx) == 1:
-            i, = idx
-            project = lambda key: (key[i],)
+        if len(set(idx)) != len(idx):
+            raise ValueError("duplicate variable names")
+        if len(idx) == 1:   # zip of one iterable makes 1-tuples
+            subs = zip(map(operator.itemgetter(*idx), self.cells))
+        elif idx:
+            subs = map(operator.itemgetter(*idx), self.cells)
         else:
-            project = operator.itemgetter(*idx) if idx else lambda key: ()
+            subs = itertools.repeat((), len(self.cells))
         out: dict = {}
-        for key, p in self.cells.items():
-            sub = project(key)
+        for sub, p in zip(subs, self.cells.values()):
             out[sub] = out.get(sub, 0.0) + p
-        kept = self._marginals[names] = JointTable(names, out)
+        # sums of this table's checked cells: only their total is checked again
+        kept = self._marginals[names] = JointTable.__new__(JointTable)._hold(names, out)
         return kept
 
     def prob(self, **assignment) -> float:
@@ -124,7 +138,7 @@ class JointTable:
         if self.variables != other.variables:
             raise ValueError("tables must share variables")
         keys = set(self.cells) | set(other.cells)
-        return math.fsum(abs(self.cells.get(k, 0.0) - other.cells.get(k, 0.0)) for k in keys)
+        return math.fsum([abs(self.cells.get(k, 0.0) - other.cells.get(k, 0.0)) for k in keys])
 
 
 class Posterior:
@@ -162,11 +176,13 @@ class FiniteCorruption:
     @classmethod
     def coordinate_permutations(cls, k: int, label: str = "coordinate-permutation"):
         """Uniformly permute the coordinates of a length-k tuple."""
-        import itertools
-
         perms = list(itertools.permutations(range(k)))
         p = 1.0 / len(perms)
-        fn = lambda x, perm: tuple(x[i] for i in perm)
+        if k >= 2:   # itemgetter of two or more indices returns a tuple
+            getters = {perm: operator.itemgetter(*perm) for perm in perms}
+            fn = lambda x, perm: getters[perm](x)
+        else:
+            fn = lambda x, perm: tuple(x[i] for i in perm)
         return cls(fn, {perm: p for perm in perms}, label)
 
 
@@ -175,66 +191,79 @@ def nuisance_randomize(p: JointTable) -> JointTable:
     p(y) p(z) p(x | y, z), with p(x | y, z) read off ``p``.  Where a label
     and a nuisance with mass never meet (a family at rho 0 or 1), use
     ``DiscreteFamily.nuisance_randomized``."""
-    y_m = p.marginal("y").cells
-    z_m = p.marginal("z").cells
-    yz = p.marginal("y", "z").cells
-    for (y,), qy in y_m.items():
-        for (z,), qz in z_m.items():
-            if qy * qz > 0.0 and (y, z) not in yz:
-                raise ValueError(
-                    f"pair (y={y!r}, z={z!r}) has zero joint mass, so "
-                    "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
+    # p's marginals over y, z and (y, z), summed in one pass over its cells
+    # (each the same sums in the same order as marginal's); those not kept
+    # on p yet are kept
+    (iy,), (iz,) = p._indices(("y",)), p._indices(("z",))
+    sums = y_m, z_m, yz = {}, {}, {}
+    for key, q in p.cells.items():
+        y, z = key[iy], key[iz]
+        y_m[(y,)] = y_m.get((y,), 0.0) + q
+        z_m[(z,)] = z_m.get((z,), 0.0) + q
+        yz[(y, z)] = yz.get((y, z), 0.0) + q
+    for names, cells in zip((("y",), ("z",), ("y", "z")), sums):
+        if names not in p._marginals:
+            p._marginals[names] = JointTable.__new__(JointTable)._hold(names, cells)
+    if len(yz) < len(y_m) * len(z_m):   # some pair has no mass
+        for (y,), qy in y_m.items():
+            for (z,), qz in z_m.items():
+                if qy * qz > 0.0 and (y, z) not in yz:
+                    raise ValueError(
+                        f"pair (y={y!r}, z={z!r}) has zero joint mass, so "
+                        "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
     out = {}
     for (y, z, x), q in p.marginal("y", "z", "x").cells.items():
-        out[(y, z, x)] = y_m[(y,)] * z_m[(z,)] * q / yz[(y, z)]
-    return JointTable(("y", "z", "x"), out)
+        v = y_m[(y,)] * z_m[(z,)] * q / yz[(y, z)]
+        if v > 0.0:   # finite, as q <= p(y, z); zero only by underflow
+            out[(y, z, x)] = v
+    return JointTable.__new__(JointTable)._hold(("y", "z", "x"), out)
 
 
-def _images(cells: Mapping, corruption: FiniteCorruption) -> dict:
-    """x -> ``((pd, t), ...)`` over the noise values d of mass pd != 0, with
-    ``t = corruption.fn(x, d)``, for each distinct covariate x (the last
-    variable) of ``cells`` in cell order.  Each public routine builds it once
-    per call, so this is the only place ``corruption.fn`` is called and each
-    (x, d) is pushed through it once; no table outlives its call."""
+def _images(cells: Mapping, corruption: FiniteCorruption) -> tuple:
+    """``(images, values)``: ``images`` maps each distinct covariate x (the
+    last variable) of ``cells``, in cell order, to ``[(pd, t, j), ...]``
+    over the noise values d of mass pd != 0, with ``t = corruption.fn(x,
+    d)`` and ``values[j] == t``.  ``values`` lists each distinct corrupted
+    value once, in order of first appearance, so a table over them is a
+    list indexed by j, read without hashing t again.  Each public
+    routine builds it once per call, so this is the only place
+    ``corruption.fn`` is called and each (x, d) is pushed through it once;
+    no table outlives its call."""
     noise = [(d, pd) for d, pd in corruption.delta_pmf.items() if pd != 0.0]
     out: dict = {}
+    index: dict = {}   # corrupted value -> j
     for key in cells:
         x = key[-1]
         if x not in out:
-            out[x] = tuple((pd, corruption.fn(x, d)) for d, pd in noise)
-    return out
+            out[x] = [(pd, t, index.setdefault(t, len(index)))
+                      for d, pd in noise for t in [corruption.fn(x, d)]]
+    return out, list(index)
 
 
-def _pushforward(cells: Mapping, images: dict):
-    """``(key, q, pd, t)`` for every cell and every ``(pd, t)`` of its
-    covariate's entry in ``images`` (:func:`_images`); x is the last
-    variable."""
-    for key, q in cells.items():
-        for pd, t in images[key[-1]]:
-            yield key, q, pd, t
-
-
-def _label_posterior(post: dict, t, y) -> float:
-    """p(y | t) from ``post``, refused below ``POSTERIOR_FLOOR``."""
-    pt = post.get(t, {}).get(y, 0.0)
+def _label_posterior(row: dict, t, y) -> float:
+    """p(y | t) from ``row``, the posterior at t, refused below
+    ``POSTERIOR_FLOOR``."""
+    pt = row.get(y, 0.0)
     if pt < POSTERIOR_FLOOR:
         raise UndefinedWeightError(f"posterior for label {y!r} under corrupted value "
                                    f"{t!r} is below {POSTERIOR_FLOOR}")
     return pt
 
 
-def _posterior_given_corrupted(p: JointTable, images: dict) -> dict:
+def _posterior_given_corrupted(p: JointTable, images: tuple) -> list:
     """p(y | t) where t = corruption(x, delta) under the training joint,
-    the corruption given as its :func:`_images` over p's covariates."""
-    joint_yt: dict = {}
-    t_mass: dict = {}
-    for (y, _x), q, pd, t in _pushforward(p.marginal("y", "x").cells, images):
-        joint_yt[(y, t)] = joint_yt.get((y, t), 0.0) + q * pd
-        t_mass[t] = t_mass.get(t, 0.0) + q * pd
-    post: dict = {}
-    for (y, t), q in joint_yt.items():
-        post.setdefault(t, {})[y] = q / t_mass[t]
-    return post
+    the corruption given as its :func:`_images` over p's covariates: row j
+    is ``{y: p(y | values[j])}``."""
+    table, values = images
+    joint = [{} for _ in values]   # row j: {y: p(y, values[j])}
+    t_mass = [0.0] * len(values)
+    for (y, x), q in p.marginal("y", "x").cells.items():
+        for pd, _t, j in table[x]:
+            w = q * pd
+            row = joint[j]
+            row[y] = row.get(y, 0.0) + w
+            t_mass[j] += w
+    return [{y: q / mass for y, q in row.items()} for row, mass in zip(joint, t_mass)]
 
 
 def biased_posterior(p: JointTable, conditioner) -> Posterior:
@@ -244,22 +273,32 @@ def biased_posterior(p: JointTable, conditioner) -> Posterior:
     the table) or a :class:`FiniteCorruption` applied to x.
     """
     if isinstance(conditioner, FiniteCorruption):
-        yx = p.marginal("y", "x").cells
-        return Posterior(_posterior_given_corrupted(p, _images(yx, conditioner)))
+        images = _images(p.marginal("y", "x").cells, conditioner)
+        return Posterior(dict(zip(images[1], _posterior_given_corrupted(p, images))))
     return Posterior(p.posterior("y", conditioner))
 
 
-def _reweighted_by(p: JointTable, images: dict, post: dict) -> dict:
+def _reweighted_by(p: JointTable, images: tuple, post: list) -> dict:
     """Unnormalized (y, x) measure p(y, x) p(y) / p(y | corrupted), the
-    corruption given as its :func:`_images` and p(y | t) as ``post``.
+    corruption given as its :func:`_images` and p(y | t) as ``post``
+    (:func:`_posterior_given_corrupted`).
 
     Sums to one exactly when every corrupted value leaves all labels
     possible; a leaky corruption loses mass instead.
     """
+    table = images[0]
     y_m = p.marginal("y").cells
     out: dict = {}
-    for (y, x), q, pd, t in _pushforward(p.marginal("y", "x").cells, images):
-        out[(y, x)] = out.get((y, x), 0.0) + pd * y_m[(y,)] / _label_posterior(post, t, y) * q
+    for key, q in p.marginal("y", "x").cells.items():
+        y, x = key
+        py = y_m[(y,)]
+        total = 0.0
+        for pd, t, j in table[x]:
+            pt = post[j].get(y, 0.0)
+            if pt < POSTERIOR_FLOOR:
+                _label_posterior(post[j], t, y)
+            total += pd * py / pt * q
+        out[key] = total
     return out
 
 
@@ -275,9 +314,11 @@ def corruption_randomize(p: JointTable, corruption: FiniteCorruption) -> JointTa
 def extend_with_corruption(p: JointTable, corruption: FiniteCorruption) -> JointTable:
     """Joint over (y, z, t) with t the corrupted covariate."""
     yzx = p.marginal("y", "z", "x").cells
+    table = _images(yzx, corruption)[0]
     out: dict = {}
-    for (y, z, _x), q, pd, t in _pushforward(yzx, _images(yzx, corruption)):
-        out[(y, z, t)] = out.get((y, z, t), 0.0) + q * pd
+    for (y, z, x), q in yzx.items():
+        for pd, t, _j in table[x]:
+            out[(y, z, t)] = out.get((y, z, t), 0.0) + q * pd
     return JointTable(("y", "z", "t"), out)
 
 
@@ -310,18 +351,23 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption) -> BoundReport
     images = _images(p.marginal("y", "x").cells, corruption)   # pp's covariates too
     post_t = _posterior_given_corrupted(p, images)
     post_z = p.posterior("y", "z")
+    table = images[0]
     eps2 = 0.0
     m2 = 0.0
-    for (y, z, _x), q, pd, t in _pushforward(pp.cells, images):
-        pt = _label_posterior(post_t, t, y)
-        eps2 += q * pd * (pt - post_z[z].get(y, 0.0)) ** 2
-        m2 += q * pd / (pt * pt)
+    for (y, z, x), q in pp.cells.items():
+        pz = post_z[z].get(y, 0.0)
+        for pd, t, j in table[x]:
+            pt = post_t[j].get(y, 0.0)
+            if pt < POSTERIOR_FLOOR:
+                _label_posterior(post_t[j], t, y)
+            w = q * pd
+            eps2 += w * (pt - pz) ** 2
+            m2 += w / (pt * pt)
     epsilon = math.sqrt(eps2)
     moment = math.sqrt(m2)
     target = pp.marginal("y", "x").cells
     raw = _reweighted_by(p, images, post_t)
-    keys = set(target) | set(raw)
-    l1 = math.fsum(abs(target.get(k, 0.0) - raw.get(k, 0.0)) for k in keys)
+    l1 = math.fsum([abs(target.get(k, 0.0) - raw.get(k, 0.0)) for k in target.keys() | raw])
     return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + BOUND_SLACK)
 
 

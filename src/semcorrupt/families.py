@@ -65,9 +65,10 @@ class DiscreteFamily:
     def assemble(self, zgy: Mapping) -> JointTable:
         """The (y, z, x) joint p(y, x*) zgy[(z, y)] p(x | z, x*)."""
         cells = {}
+        ys, y_xstar, z_given = self.y_support, self.y_xstar.get, zgy.get
         for (x, z, xs), q in self.x_given_z_xstar.items():
-            for y in self.y_support:
-                p = self.y_xstar.get((y, xs), 0.0) * zgy.get((z, y), 0.0) * q
+            for y in ys:
+                p = y_xstar((y, xs), 0.0) * z_given((z, y), 0.0) * q
                 if p != 0.0:
                     cells[(y, z, x)] = cells.get((y, z, x), 0.0) + p
         return JointTable(("y", "z", "x"), cells)
@@ -338,11 +339,15 @@ def _image_rows(seeds: np.ndarray, p_same: float, out: np.ndarray) -> tuple:
     # below(2) takes one word and never rejects it: 2**64 % 2 == 0
     y = (words[:, 0] % np.uint64(2)).astype(np.int64)
     u = uniform_words(words[:, 1:])
+    del words
     z = np.where(u[:, 0] < p_same, y, 1 - y)
+    noise = box_muller(u[:, 1:]).reshape(-1, IMG_SIZE, IMG_SIZE)
+    del u
+    noise *= PIXEL_NOISE_SD
     lo, hi = GLYPH_ORIGIN, GLYPH_ORIGIN + GLYPH_SPAN
     img = _TEXTURES[z]
     img[:, lo:hi, lo:hi] = _GLYPHS[y]
-    img += PIXEL_NOISE_SD * box_muller(u[:, 1:]).reshape(-1, IMG_SIZE, IMG_SIZE)
+    img += noise
     out[..., 0] = np.clip(img, 0.0, 1.0, out=img).astype(np.float32)
     return y, z
 

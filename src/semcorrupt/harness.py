@@ -659,11 +659,11 @@ def _fuzz_draw(params: tuple) -> tuple:
     fam = family(*args)
     if mask is not None:
         corruption = FiniteCorruption.deterministic(
-            lambda x: tuple(v if k else 0.0 for v, k in zip(x, mask)))
+            lambda x: tuple([v if k else 0.0 for v, k in zip(x, mask)]))
     elif roll == 0:
         corruption = FiniteCorruption.coordinate_permutations(3)
     else:
-        corruption = FiniteCorruption.deterministic(lambda x: tuple(abs(v) for v in x))
+        corruption = FiniteCorruption.deterministic(lambda x: tuple(map(abs, x)))
     try:
         rep = corruption_bound(fam.joint(rho), corruption)
     except Exception as exc:

@@ -83,9 +83,11 @@ class NgramLayout:
             derive_seeds(n, *(ids[at + k] for k in range(n))) % np.uint64(self.buckets)
             for n, at in enumerate(self.windows, 1)])
         # int64, as the cells: int64 plus uint64 would promote to float64
-        counts = np.bincount(self.cells + buckets.astype(np.int64),
-                             minlength=len(self.lengths) * self.buckets)
-        return counts.astype(np.float64).reshape(self.examples, -1)
+        cells = self.cells + buckets.astype(np.int64)
+        # unit weights count in float64 directly, exact below 2**53 (with no
+        # window at all, bincount returns int64 zeros, cast here)
+        counts = np.bincount(cells, np.ones(len(cells)), len(self.lengths) * self.buckets)
+        return counts.astype(np.float64, copy=False).reshape(self.examples, -1)
 
 
 def featurize(spec: FeatureSpec, covariates) -> np.ndarray:

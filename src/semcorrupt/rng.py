@@ -120,11 +120,16 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     """The ``normals`` Box-Muller map on consecutive uniform pairs along
     the last axis."""
     u1, u2 = u[..., 0::2], u[..., 1::2]
-    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    # in place, with the same bits: sqrt(-2 log(1 - u1)) and theta are the
+    # only scratch (products commute exactly)
+    r = 1.0 - u1
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
     theta = (2.0 * np.pi) * u2
     out = np.empty(u.shape)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
+    np.multiply(r, np.cos(theta, out=out[..., 0::2]), out=out[..., 0::2])
+    np.multiply(r, np.sin(theta, out=theta), out=out[..., 1::2])
     return out
 
 

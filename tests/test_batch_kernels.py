@@ -573,20 +573,41 @@ def test_block_rows_cannot_be_changed():
         rows.block[0, 0, 0, 0] = 0.0
 
 
-def traced_peak(fn, *args) -> int:
-    """Bytes that ``fn(*args)`` held at its peak, numpy buffers included,
-    above what was held before the call."""
+def traced_peaks(fn, *args) -> tuple:
+    """Bytes that ``fn(*args)`` held at its peak, numpy buffers included:
+    above what was held before the call, and above what it holds on return
+    (its result included)."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - held
+        result = fn(*args)
+        after, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak - before, peak - after
     finally:
         if started:
             tracemalloc.stop()
+
+
+def traced_peak(fn, *args) -> int:
+    return traced_peaks(fn, *args)[0]
+
+
+def test_ngram_counts_hold_one_matrix():
+    """On 1200 pairs (a 1.17 MiB float64 matrix) featurize's scratch stays
+    under 1.2 MiB: the windows are counted straight into the float64
+    matrix, with no integer count array beside it."""
+    covs = synthetic_nli_task(0.9, 1200, 0).covariates
+    assert traced_peaks(featurize, FeatureSpec("bag_of_ngrams"), covs)[1] < 1.2 * 2**20
+
+
+def test_image_generator_scratch_is_small():
+    """Drawing 1500 images (12 MiB held) peaks under 1.75 MiB above what the
+    dataset holds: one chunk's uniforms, noise and texture copy."""
+    assert traced_peaks(synthetic_image_task, 0.9, 1500, 0)[1] < 1.75 * 2**20
 
 
 def test_whole_dataset_readers_copy_no_block(tmp_path):

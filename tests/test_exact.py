@@ -1,5 +1,6 @@
 """Exact probability engine: distribution surgery, reweighting, bounds."""
 
+import itertools
 import math
 
 import pytest
@@ -92,7 +93,7 @@ class TestJointTable:
 
     def test_marginal_unknown_name_raises(self):
         p = flip_noise_family(1).joint(0.9)
-        for names in (("w",), ("y", "w")):
+        for names in (("w",), ("y", "w"), ("y", "y")):
             with pytest.raises(ValueError):
                 p.marginal(*names)
             with pytest.raises(ValueError):   # a failed request is not kept
@@ -403,6 +404,15 @@ class TestCondIndepGap:
 
 
 class TestCorruptionBound:
+    def test_zero_posterior_raises(self):
+        """The near-degenerate table that ``corruption_randomize`` refuses:
+        the bound's own moment loop meets the posterior below the floor."""
+        p = JointTable(("y", "z", "x"), {(0, 0, 0): 1.0 - 1e-13, (1, 0, 0): 1e-13})
+        ident = FiniteCorruption.deterministic(lambda x: x, "copy")
+        with pytest.raises(UndefinedWeightError,
+                           match=r"^posterior for label 1 under corrupted value 0 is below 1e-12$"):
+            corruption_bound(p, ident)
+
     def test_ideal_corruption_coordinate_shuffle(self):
         fam = negated_coordinate_family(1.0, 8)
         report = corruption_bound(fam.joint(0.8), FiniteCorruption.coordinate_permutations(3))
@@ -487,6 +497,33 @@ def test_corruption_engine_matches_enumerated_oracle(case):
     for t in reachable - set(ref["post_t"]):
         with pytest.raises(UndefinedWeightError):
             post.at(t)
+
+
+@st.composite
+def checked_tables(draw):
+    """A table over one to four variables whose cells are random floats,
+    subnormal ones included (a cell that divides to zero is dropped)."""
+    names = draw(st.permutations(("a", "b", "c", "d")))[:draw(st.integers(1, 4))]
+    values = st.sampled_from((-2, 0, 1, 2.5, "s"))
+    keys = draw(st.lists(st.tuples(*[values] * len(names)), min_size=1, max_size=40,
+                         unique=True))
+    weights = draw(st.lists(st.floats(5e-324, 1.0), min_size=len(keys), max_size=len(keys)))
+    total = math.fsum(weights)
+    return JointTable(names, {k: w / total for k, w in zip(keys, weights)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(checked_tables())
+def test_marginals_pass_the_cell_checks_unchanged(table):
+    """A marginal checks only its names and its total; the constructor's
+    per-cell checks keep every cell of every marginal, in order, bit for
+    bit."""
+    for size in range(len(table.variables) + 1):
+        for names in itertools.permutations(table.variables, size):
+            m = table.marginal(*names)
+            again = JointTable(m.variables, m.cells)
+            assert [(k, q.hex()) for k, q in again.cells.items()] == \
+                [(k, q.hex()) for k, q in m.cells.items()]
 
 
 MARGINAL_NAMES = (("y",), ("z",), ("x",), ("y", "x"), ("x", "y"), ("y", "z"),
