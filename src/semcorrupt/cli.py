@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or
 configuration (bad numbers, damaged dataset or model files, non-finite
-vector data, a hyperparameter the method does not take, one file named by
-both ``report --out`` and ``--per-seed``), 3 runtime failure (diverged
-training, unreadable files or unwritable output paths, undefined
+vector data, a hyperparameter the method does not take, ``scam
+--aux-epochs 0`` for a method that fits its biased model first, one file
+named by both ``report --out`` and ``--per-seed``), 3 runtime failure
+(diverged training, unreadable files or unwritable output paths, undefined
 reweighting, a request too large to allocate, a ``report`` sweep with a
 failed (method, seed) cell).  An oversized count (``gen --n``,
 ``--hidden``, ``--buckets``, a dataset's class count) is a bad number,
@@ -86,12 +87,23 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(args.epochs, args.batch, args.lr, args.wd, seed=args.seed)
     model, info = run_method(MethodSpec("erm"), store, cfg, cfg, args.hidden)
     save_model(model, args.out)
-    final = info["losses"][-1] if info["losses"] else float("nan")
-    print(f"trained {args.epochs} epochs, final loss {final:.4f} -> {args.out}")
+    if info["losses"]:
+        print(f"trained {args.epochs} epochs, final loss {info['losses'][-1]:.4f} -> {args.out}")
+    else:
+        print(f"no epoch ran: saved the initial model -> {args.out}")
     return 0
 
 
+# the methods that fit their biased model for --aux-epochs before the main
+# model; poe and dfl train theirs on the main schedule
+_AUX_TRAINED = ("nurd", "jtt")
+
+
 def _cmd_scam(args) -> int:
+    if args.aux_epochs == 0 and args.method in _AUX_TRAINED:
+        # an untrained biased model would turn nurd into ERM and jtt into
+        # upsampling one class
+        raise ConfigError(f"{args.method} needs --aux-epochs >= 1")
     store = _training_store(args)
     corruption = CorruptionSpec(args.kind, args.param, args.corruption_seed)
     method = MethodSpec(args.method, corruption, lambda_up=args.lambda_up,
@@ -222,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"jtt only (default {PARAM_DEFAULTS['lambda_up']})")
     s.add_argument("--gamma", type=float, default=None,
                    help=f"dfl only (default {PARAM_DEFAULTS['gamma']:g})")
-    s.add_argument("--aux-epochs", type=int, default=30)
+    s.add_argument("--aux-epochs", type=int, default=30,
+                   help="epochs of the biased model that nurd and jtt fit first "
+                        "(>= 1); poe and dfl train theirs on the main schedule "
+                        "and never read it")
     s.add_argument("--aux-lr", type=float, default=0.1)
     s.set_defaults(func=_cmd_scam)
 

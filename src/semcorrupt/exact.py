@@ -55,7 +55,7 @@ class JointTable:
         """This table, holding ``cells`` (positive floats keyed by tuples of
         the arity of ``variables``) once their total is checked."""
         total = math.fsum(cells.values())
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:   # a NaN total fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.variables = variables
         self.cells = cells
@@ -186,37 +186,76 @@ class FiniteCorruption:
         return cls(fn, {perm: p for perm in perms}, label)
 
 
+def _first_pass(p: JointTable) -> tuple:
+    """``(factors, yx)`` from one pass over the cells of ``p``, a table over
+    exactly (y, z, x), which sums its y, z, (y, z) and (y, x) marginals
+    (each the same sums in the same order as ``marginal``'s) and keeps on p
+    those not kept yet.  ``yx`` is the (y, x) marginal's cells; ``factors``
+    maps each (y, z) pair with mass to ``(p(y) p(z), p(y, z), p(y | z))``,
+    p(y | z) divided as ``posterior`` divides it.  A label and a nuisance
+    with mass that never meet raise."""
+    y_m, z_m, yz, yx = {}, {}, {}, {}
+    for (y, z, x), q in p.cells.items():
+        y_m[y] = y_m.get(y, 0.0) + q
+        z_m[z] = z_m.get(z, 0.0) + q
+        yz[(y, z)] = yz.get((y, z), 0.0) + q
+        yx[(y, x)] = yx.get((y, x), 0.0) + q
+    sums = {("y",): {(y,): q for y, q in y_m.items()},
+            ("z",): {(z,): q for z, q in z_m.items()}, ("y", "z"): yz, ("y", "x"): yx}
+    for names, cells in sums.items():
+        if names not in p._marginals:
+            p._marginals[names] = JointTable.__new__(JointTable)._hold(names, cells)
+    if len(yz) < len(y_m) * len(z_m):   # some pair has no mass
+        for y, qy in y_m.items():
+            for z, qz in z_m.items():
+                if qy * qz > 0.0 and (y, z) not in yz:
+                    raise ValueError(
+                        f"pair (y={y!r}, z={z!r}) has zero joint mass, so "
+                        "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
+    z_mass: dict = {}   # p(z) summed over the (y, z) cells, as posterior sums it
+    for (_y, z), q in yz.items():
+        z_mass[z] = z_mass.get(z, 0.0) + q
+    factors = {(y, z): (y_m[y] * z_m[z], q, q / z_mass[z]) for (y, z), q in yz.items()}
+    return factors, yx
+
+
+def _randomized(p: JointTable, factors: dict, table=None, post_t=None) -> tuple:
+    """``(pp, eps2, m2)`` from one pass over the cells of ``p``, a table
+    over exactly (y, z, x), and its ``factors`` (:func:`_first_pass`).
+    ``pp`` is p(y) p(z) p(x | y, z), with its (y, x) marginal kept.  Given
+    a corruption's image table and p(y | t) (:func:`_images`,
+    :func:`_posterior_given_corrupted`), ``eps2`` and ``m2`` sum
+    (p(y | t) - p(y | z))^2 and p(y | t)^-2 over pp times the noise;
+    without them both are 0."""
+    out: dict = {}
+    target: dict = {}
+    eps2 = m2 = 0.0
+    for (y, z, x), q in p.cells.items():
+        c, pyz, pz = factors[(y, z)]
+        v = c * q / pyz   # p(y) p(z) q / p(y, z)
+        if v > 0.0:   # finite, as q <= p(y, z); zero only by underflow
+            out[(y, z, x)] = v
+            target[(y, x)] = target.get((y, x), 0.0) + v
+            if table is not None:
+                for pd, t, j in table[x]:
+                    pt = post_t[j].get(y, 0.0)
+                    if pt < POSTERIOR_FLOOR:
+                        _label_posterior(post_t[j], t, y)
+                    w = v * pd
+                    eps2 += w * (pt - pz) ** 2
+                    m2 += w / (pt * pt)
+    pp = JointTable.__new__(JointTable)._hold(("y", "z", "x"), out)
+    pp._marginals[("y", "x")] = JointTable.__new__(JointTable)._hold(("y", "x"), target)
+    return pp, eps2, m2
+
+
 def nuisance_randomize(p: JointTable) -> JointTable:
     """Break the label-nuisance dependence of the (y, z, x) table ``p``:
     p(y) p(z) p(x | y, z), with p(x | y, z) read off ``p``.  Where a label
     and a nuisance with mass never meet (a family at rho 0 or 1), use
     ``DiscreteFamily.nuisance_randomized``."""
-    # p's marginals over y, z and (y, z), summed in one pass over its cells
-    # (each the same sums in the same order as marginal's); those not kept
-    # on p yet are kept
-    (iy,), (iz,) = p._indices(("y",)), p._indices(("z",))
-    sums = y_m, z_m, yz = {}, {}, {}
-    for key, q in p.cells.items():
-        y, z = key[iy], key[iz]
-        y_m[(y,)] = y_m.get((y,), 0.0) + q
-        z_m[(z,)] = z_m.get((z,), 0.0) + q
-        yz[(y, z)] = yz.get((y, z), 0.0) + q
-    for names, cells in zip((("y",), ("z",), ("y", "z")), sums):
-        if names not in p._marginals:
-            p._marginals[names] = JointTable.__new__(JointTable)._hold(names, cells)
-    if len(yz) < len(y_m) * len(z_m):   # some pair has no mass
-        for (y,), qy in y_m.items():
-            for (z,), qz in z_m.items():
-                if qy * qz > 0.0 and (y, z) not in yz:
-                    raise ValueError(
-                        f"pair (y={y!r}, z={z!r}) has zero joint mass, so "
-                        "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
-    out = {}
-    for (y, z, x), q in p.marginal("y", "z", "x").cells.items():
-        v = y_m[(y,)] * z_m[(z,)] * q / yz[(y, z)]
-        if v > 0.0:   # finite, as q <= p(y, z); zero only by underflow
-            out[(y, z, x)] = v
-    return JointTable.__new__(JointTable)._hold(("y", "z", "x"), out)
+    p = p.marginal("y", "z", "x")
+    return _randomized(p, _first_pass(p)[0])[0]
 
 
 def _images(cells: Mapping, corruption: FiniteCorruption) -> tuple:
@@ -230,13 +269,16 @@ def _images(cells: Mapping, corruption: FiniteCorruption) -> tuple:
     ``corruption.fn`` is called and each (x, d) is pushed through it once;
     no table outlives its call."""
     noise = [(d, pd) for d, pd in corruption.delta_pmf.items() if pd != 0.0]
+    fn = corruption.fn
     out: dict = {}
     index: dict = {}   # corrupted value -> j
     for key in cells:
         x = key[-1]
         if x not in out:
-            out[x] = [(pd, t, index.setdefault(t, len(index)))
-                      for d, pd in noise for t in [corruption.fn(x, d)]]
+            row = out[x] = []
+            for d, pd in noise:
+                t = fn(x, d)
+                row.append((pd, t, index.setdefault(t, len(index))))
     return out, list(index)
 
 
@@ -347,27 +389,17 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption) -> BoundReport
     measure, which is the quantity the Cauchy-Schwarz argument controls;
     the report checks ``l1 <= moment * epsilon + BOUND_SLACK``.
     """
-    pp = nuisance_randomize(p)
-    images = _images(p.marginal("y", "x").cells, corruption)   # pp's covariates too
+    p = p.marginal("y", "z", "x")
+    factors, yx = _first_pass(p)
+    images = _images(yx, corruption)   # pp's covariates too
     post_t = _posterior_given_corrupted(p, images)
-    post_z = p.posterior("y", "z")
-    table = images[0]
-    eps2 = 0.0
-    m2 = 0.0
-    for (y, z, x), q in pp.cells.items():
-        pz = post_z[z].get(y, 0.0)
-        for pd, t, j in table[x]:
-            pt = post_t[j].get(y, 0.0)
-            if pt < POSTERIOR_FLOOR:
-                _label_posterior(post_t[j], t, y)
-            w = q * pd
-            eps2 += w * (pt - pz) ** 2
-            m2 += w / (pt * pt)
+    pp, eps2, m2 = _randomized(p, factors, images[0], post_t)
     epsilon = math.sqrt(eps2)
     moment = math.sqrt(m2)
     target = pp.marginal("y", "x").cells
+    # raw has a cell for each of p's (y, x) pairs, target for some of them
     raw = _reweighted_by(p, images, post_t)
-    l1 = math.fsum([abs(target.get(k, 0.0) - raw.get(k, 0.0)) for k in target.keys() | raw])
+    l1 = math.fsum([abs(target.get(k, 0.0) - r) for k, r in raw.items()])
     return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + BOUND_SLACK)
 
 

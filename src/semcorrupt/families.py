@@ -71,7 +71,15 @@ class DiscreteFamily:
                 p = y_xstar((y, xs), 0.0) * z_given((z, y), 0.0) * q
                 if p != 0.0:
                     cells[(y, z, x)] = cells.get((y, z, x), 0.0) + p
-        return JointTable(("y", "z", "x"), cells)
+        names = ("y", "z", "x")
+        # the constructor's per-cell checks run only where one can fail: a
+        # cell that is not positive, or a NaN, which makes the total NaN
+        if min(cells.values(), default=0.0) > 0.0:
+            try:
+                return JointTable.__new__(JointTable)._hold(names, cells)
+            except ValueError:   # the constructor names the bad cell, if any
+                pass
+        return JointTable(names, cells)
 
 
 def flip_noise_family(which: int) -> DiscreteFamily:

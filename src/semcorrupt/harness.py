@@ -657,13 +657,15 @@ def _fuzz_draw(params: tuple) -> tuple:
     family = {"flip": flip_noise_family, "negated": negated_coordinate_family,
               "xor": xor_sign_family}[kind]
     fam = family(*args)
+    # two-argument maps of the one noise value 0, as ``deterministic`` makes,
+    # without its wrapper call per covariate
     if mask is not None:
-        corruption = FiniteCorruption.deterministic(
-            lambda x: tuple([v if k else 0.0 for v, k in zip(x, mask)]))
+        corruption = FiniteCorruption(
+            lambda x, _d: tuple([v if k else 0.0 for v, k in zip(x, mask)]), {0: 1.0})
     elif roll == 0:
         corruption = FiniteCorruption.coordinate_permutations(3)
     else:
-        corruption = FiniteCorruption.deterministic(lambda x: tuple(map(abs, x)))
+        corruption = FiniteCorruption(lambda x, _d: tuple(map(abs, x)), {0: 1.0})
     try:
         rep = corruption_bound(fam.joint(rho), corruption)
     except Exception as exc:

@@ -251,6 +251,30 @@ class TestExitCodes:
                      "--epochs", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["nurd", "jtt"])
+    def test_zero_auxiliary_epochs_exit_2_before_any_work(self, tmp_path, capsys, method):
+        # the --in directory does not exist: the budget is refused before it is read
+        out = tmp_path / "x.bin"
+        assert main(["scam", "--method", method, "--kind", "patch_randomize", "--param", "8",
+                     "--in", str(tmp_path / "nowhere"), "--out", str(out), "--seed", "0",
+                     "--aux-epochs", "0"]) == 2
+        assert f"error: {method} needs --aux-epochs >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_auxiliary_epochs_are_unread_by_poe(self, image_dir, tmp_path):
+        out = tmp_path / "x.bin"
+        assert main(["scam", "--method", "poe", "--kind", "patch_randomize", "--param", "8",
+                     "--in", image_dir, "--out", str(out), "--seed", "0", "--epochs", "1",
+                     "--aux-epochs", "0"]) == 0
+        assert out.exists()
+
+    def test_train_zero_epochs_says_no_epoch_ran(self, image_dir, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--in", image_dir, "--out", str(out), "--seed", "0",
+                     "--epochs", "0"]) == 0
+        assert capsys.readouterr().out == f"no epoch ran: saved the initial model -> {out}\n"
+        assert load_model(str(out)).n_features == 32 * 32
+
     @pytest.mark.parametrize("method", ["erm", "boosting"])
     def test_scam_takes_only_corruption_driven_methods(self, image_dir, tmp_path, method):
         out = tmp_path / "x"

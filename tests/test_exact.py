@@ -80,6 +80,11 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable(("a",), cells)
 
+    def test_hold_refuses_a_nan_total(self):
+        # a NaN total is not within SUM_TOL of one either
+        with pytest.raises(ValueError, match="probabilities sum to nan, not 1"):
+            JointTable.__new__(JointTable)._hold(("y",), {(0,): math.nan})
+
     def test_marginal_over_all_variables_is_the_table(self):
         p = flip_noise_family(1).joint(0.9)
         assert p.marginal(*p.variables) is p
@@ -188,6 +193,14 @@ class TestNuisanceRandomize:
     def test_table_form_rejects_degenerate_joint(self):
         with pytest.raises(ValueError):
             nuisance_randomize(flip_noise_family(1).joint(1.0))
+
+    def test_bound_rejects_degenerate_joint_with_the_same_error(self):
+        want = ("pair (y=-1, z=1) has zero joint mass, so p(x | y, z) is undefined; "
+                "use DiscreteFamily.nuisance_randomized")
+        for run in (nuisance_randomize, lambda p: corruption_bound(p, SECOND_COORD)):
+            with pytest.raises(ValueError) as exc:
+                run(flip_noise_family(1).joint(1.0))
+            assert str(exc.value) == want
 
     @pytest.mark.parametrize("rho", [1.5, -0.1, math.nan])
     @pytest.mark.parametrize("fam", [flip_noise_family(1), negated_coordinate_family(1.0, 4)],
@@ -549,6 +562,36 @@ def test_kept_marginals_do_not_depend_on_request_order(case, order, warm):
     b = corruption_bound(JointTable(("y", "z", "x"), cells), corruption)
     assert (a.epsilon.hex(), a.moment.hex(), a.l1.hex()) == \
         (b.epsilon.hex(), b.moment.hex(), b.l1.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_tables())
+def test_one_pass_marginals_and_randomized_cells_are_fresh_bits(case):
+    """The passes of nuisance_randomize and corruption_bound keep p's y, z,
+    (y, z) and (y, x) marginals and pp's (y, x) marginal with the bits that
+    ``marginal`` gives on fresh tables, and pp's cells are p(y) p(z) q /
+    p(y, z) of those marginals, bit for bit."""
+    cells, corruption, _reachable = case
+
+    def bits(cells):
+        return [(k, q.hex()) for k, q in cells.items()]
+
+    fresh = JointTable(("y", "z", "x"), cells)
+    y_m, z_m, yz = (fresh.marginal(*n).cells for n in (("y",), ("z",), ("y", "z")))
+    want = {}
+    for (y, z, x), q in fresh.cells.items():
+        v = y_m[(y,)] * z_m[(z,)] * q / yz[(y, z)]
+        if v > 0.0:
+            want[(y, z, x)] = v
+    for run in (nuisance_randomize, lambda p: corruption_bound(p, corruption)):
+        p = JointTable(("y", "z", "x"), cells)
+        run(p)
+        for names in (("y",), ("z",), ("y", "z"), ("y", "x")):
+            assert bits(p._marginals[names].cells) == bits(fresh.marginal(*names).cells)
+    pp = nuisance_randomize(JointTable(("y", "z", "x"), cells))
+    assert bits(pp.cells) == bits(want)
+    assert bits(pp._marginals[("y", "x")].cells) == \
+        bits(JointTable(pp.variables, pp.cells).marginal("y", "x").cells)
 
 
 # ---------------------------------------------------------------------------

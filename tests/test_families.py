@@ -1,5 +1,6 @@
 """Finite families and the two synthetic dataset generators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,16 @@ class TestFamilyInvariants:
             make().joint(1.5)
         with pytest.raises(ValueError):
             make().joint(-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.25])
+    def test_joint_refuses_a_nan_or_negative_structural_mass(self, make, bad):
+        """A NaN or negative p(y, x*) at any key, so in any cell position,
+        still fails the constructor's cell checks, as a ValueError."""
+        fam = make()
+        for key in fam.y_xstar:
+            broken = dataclasses.replace(fam, y_xstar={**fam.y_xstar, key: bad})
+            with pytest.raises(ValueError, match="probability"):
+                broken.joint(0.7)
 
     def test_only_nuisance_channel_moves(self, make):
         # p(y, xstar) and p(x | z, xstar) must be identical across members

@@ -645,6 +645,7 @@ class TestDeskPresets:
 
 
 FUZZ_DRAW_BITS = "13d743e9745eb2f1f5e6b6ae885a8745c1d95e88130d458f81e36bb7754af9d5"
+FUZZ_ALL_DRAWS_BITS = "46c5bbb7ecdac192e2ed34cf69af70e0547bd0f0d9057c2a16a15aa74ae8f2e6"
 
 
 class TestTheoryChecks:
@@ -719,6 +720,15 @@ class TestTheoryChecks:
         text = repr([(None if excess is None else excess.hex(), failure)
                      for excess, failure in draws])
         assert hashlib.sha256(text.encode()).hexdigest() == FUZZ_DRAW_BITS
+
+    def test_fuzz_all_draws_bits_are_frozen(self):
+        """The same digest over all 2000 draws of fuzz seed 7, the draws
+        that ``verify-theory --fuzz 2000 --seed 7`` checks."""
+        stream = Stream(derive_seed(7, 777))
+        draws = [harness._fuzz_draw(harness._fuzz_params(stream)) for _ in range(2000)]
+        text = repr([(None if excess is None else excess.hex(), failure)
+                     for excess, failure in draws])
+        assert hashlib.sha256(text.encode()).hexdigest() == FUZZ_ALL_DRAWS_BITS
 
     def test_fuzz_bound_small_run(self):
         result = fuzz_bound_checks(30, seed=1)
