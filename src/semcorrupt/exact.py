@@ -21,6 +21,15 @@ POSTERIOR_FLOOR = 1e-12
 BOUND_SLACK = 1e-9        # float noise allowed above corruption_bound's bound
 
 
+def _given_mass(cells: Mapping) -> dict:
+    """The mass of each second value of a two-variable table's ``cells``,
+    summed in cell order: the divisor of ``posterior``."""
+    mass: dict = {}
+    for (_tv, gv), p in cells.items():
+        mass[gv] = mass.get(gv, 0.0) + p
+    return mass
+
+
 class JointTable:
     """Sparse exact pmf over a tuple of named variables.
 
@@ -110,13 +119,12 @@ class JointTable:
 
     def posterior(self, target: str, given: str) -> dict:
         """dict mapping each given-value with mass to {target-value: prob}."""
-        m = self.marginal(target, given)
-        mass: dict = {}
+        cells = self.marginal(target, given).cells
+        mass = _given_mass(cells)
         table: dict = {}
-        for (tv, gv), p in m.cells.items():
-            mass[gv] = mass.get(gv, 0.0) + p
-            table.setdefault(gv, {})[tv] = p
-        return {gv: {tv: p / mass[gv] for tv, p in row.items()} for gv, row in table.items()}
+        for (tv, gv), p in cells.items():
+            table.setdefault(gv, {})[tv] = p / mass[gv]
+        return table
 
     def extend_independent(self, name: str, pmf: Mapping) -> "JointTable":
         out = {}
@@ -212,9 +220,7 @@ def _first_pass(p: JointTable) -> tuple:
                     raise ValueError(
                         f"pair (y={y!r}, z={z!r}) has zero joint mass, so "
                         "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
-    z_mass: dict = {}   # p(z) summed over the (y, z) cells, as posterior sums it
-    for (_y, z), q in yz.items():
-        z_mass[z] = z_mass.get(z, 0.0) + q
+    z_mass = _given_mass(yz)
     factors = {(y, z): (y_m[y] * z_m[z], q, q / z_mass[z]) for (y, z), q in yz.items()}
     return factors, yx
 

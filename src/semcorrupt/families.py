@@ -73,12 +73,9 @@ class DiscreteFamily:
                     cells[(y, z, x)] = cells.get((y, z, x), 0.0) + p
         names = ("y", "z", "x")
         # the constructor's per-cell checks run only where one can fail: a
-        # cell that is not positive, or a NaN, which makes the total NaN
-        if min(cells.values(), default=0.0) > 0.0:
-            try:
-                return JointTable.__new__(JointTable)._hold(names, cells)
-            except ValueError:   # the constructor names the bad cell, if any
-                pass
+        # cell that is not positive, or a NaN, which fails the test too
+        if all(v > 0.0 for v in cells.values()):
+            return JointTable.__new__(JointTable)._hold(names, cells)
         return JointTable(names, cells)
 
 

@@ -22,13 +22,16 @@ pairs each side takes each of the four places once.  Each end-to-end metric of
 quartiles, the per-pair ratios (change / parent, and copy / parent for the
 A/A block) and the wins, and two verdicts:
 
-* ``claim_stands``: at least ten pairs ran, the change wins at least nine
-  tenths of them, the median A/B ratio lies outside the A/A block's
-  interquartile band of ratios on the better side, and the change wins
-  more pairs than the parent copy wins in the A/A block;
-* ``parent_iqr_rule``: the benchmark's own rule, at least nine tenths of
-  the pairs won and medians apart, on the better side, by more than the
-  parent's interquartile range.
+* ``claim_stands``: every change run read ``correct: true`` and the
+  change failed no more operations than the parent, at least ten pairs
+  ran, the change wins at least nine tenths of them, the median A/B
+  ratio lies outside the A/A block's interquartile band of ratios on the
+  better side, and the change wins more pairs than the parent copy wins
+  in the A/A block;
+* ``parent_iqr_rule``: the benchmark's own rule, under the same
+  correctness and failure conditions: at least nine tenths of the pairs
+  won and medians apart, on the better side, by more than the parent's
+  interquartile range.
 
 The A/A band stands in for the parent's interquartile range because the
 host's drift between pairs widens that range while the pairing cancels it.
@@ -43,11 +46,12 @@ record (``perfbench/out/result-*.json``), and a run that failed keeps the
 tail of its stderr.  Results are merged into ``BENCH_<tag>.json`` under the
 set's name (workload and seeds), so several invocations fill one file.
 
-``--self-test`` checks the rules on seeded synthetic pairs, then runs two
-tiny pairs (``--seconds 0.01``) of one tree (four copies of ``HEAD``)
-against itself and checks that every run is correct and nothing is
-claimed.  Exit code 0
-when the runs (or the self-test) passed, 1 otherwise.
+Runs take the benchmark's own length (``run_seconds`` of
+``BENCHMARK.json``).  ``--self-test`` checks the rules on seeded synthetic
+pairs, then runs two tiny pairs (0.01 s rounds) of one tree (four copies
+of ``HEAD``) against itself and checks that every run is correct and
+nothing is claimed.  Exit code 0 when the runs (or the self-test) passed,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -74,13 +78,14 @@ SIDES = ("parent", "change", "aa_first", "aa_second")
 ORDERS = (SIDES, SIDES[::-1], ("change", "parent", "aa_second", "aa_first"),
           ("aa_first", "aa_second", "parent", "change"))
 CLAIM_RULE = (
-    "A claim on a metric stands (claim_stands) when at least ten pairs ran, the change "
+    "A claim on a metric stands (claim_stands) when every change run is correct, the "
+    "change fails no more operations than the parent, at least ten pairs ran, the change "
     "wins at least nine tenths of them, the median of the per-pair ratios change / parent "
     "lies outside the A/A block's interquartile band of ratios (parent copy / parent) on "
     "the better side, and the change wins more pairs than the parent copy wins in the A/A "
-    "block (ties count for neither). parent_iqr_rule reports the benchmark's own rule: "
-    "nine tenths of the pairs won and medians apart, on the better side, by more than the "
-    "parent's interquartile range.")
+    "block (ties count for neither). parent_iqr_rule reports the benchmark's own rule, "
+    "under the same correctness and failure conditions: nine tenths of the pairs won and "
+    "medians apart, on the better side, by more than the parent's interquartile range.")
 
 
 def parse_args(argv):
@@ -90,8 +95,6 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--parent", default="HEAD", help="git revision of the parent")
     p.add_argument("--tag", default=None, help="write BENCH_<tag>.json at the repo root")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length; default: run_seconds of BENCHMARK.json")
     p.add_argument("--self-test", action="store_true")
     return p.parse_args(argv)
 
@@ -115,7 +118,7 @@ def archive(rev: str, dest: Path) -> str:
     return sha
 
 
-def one_run(tree: Path, workload: str, seed: int, seconds) -> dict:
+def one_run(tree: Path, workload: str, seed: int, seconds=None) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
@@ -141,8 +144,13 @@ def spread(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def judge(parent: list, change: list, aa_first: list, aa_second: list, lower: bool) -> dict:
-    """Figures and verdicts for one metric over paired runs (lists in pair order)."""
+def judge(parent: list, change: list, aa_first: list, aa_second: list, lower: bool, *,
+          change_correct: list, failed: tuple) -> dict:
+    """Figures and verdicts for one metric over paired runs (lists in pair
+    order).  ``change_correct`` holds each change run's ``correct`` and
+    ``failed`` the operations that failed, summed over the parent's and
+    over the change's runs; neither verdict holds unless every change run
+    is correct and the change failed no more operations than the parent."""
     def better(a, b):   # a reads better than b
         return a < b if lower else a > b
 
@@ -162,14 +170,15 @@ def judge(parent: list, change: list, aa_first: list, aa_second: list, lower: bo
         "change_better_in": f"{wins}/{n}", "aa_second_better_in": f"{aa_wins}/{n}",
         "ties": sum(p == c for p, c in zip(parent, change)),
     }
-    most = 10 * wins >= 9 * n
+    sound = all(change_correct) and failed[1] <= failed[0]
+    most = sound and 10 * wins >= 9 * n
     out["claim_stands"] = n >= MIN_PAIRS and most and outside and wins > aa_wins
     out["parent_iqr_rule"] = (most and better(chg["median"], par["median"])
                               and abs(chg["median"] - par["median"]) > par["iqr"])
     return out
 
 
-def run_pairs(trees: dict, workload: str, seeds: list, pairs: int, seconds) -> dict:
+def run_pairs(trees: dict, workload: str, seeds: list, pairs: int, seconds=None) -> dict:
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
         seed = seeds[i % len(seeds)]
@@ -192,10 +201,13 @@ def run_pairs(trees: dict, workload: str, seeds: list, pairs: int, seconds) -> d
         out["failed_runs"] = {s: [{k: r.get(k) for k in ("seed", "exit", "stderr_tail")}
                                   for r in f] for s, f in failures.items() if f}
     if all(r["metrics"] for s in SIDES for r in runs[s]):
+        health = dict(change_correct=[r["correct"] for r in runs["change"]],
+                      failed=tuple(sum(r["failed"] for r in runs[s])
+                                   for s in ("parent", "change")))
         for m in BENCH["end_to_end"]:
             out["metrics"][m["name"]] = judge(
                 *([r["metrics"][m["name"]] for r in runs[s]] for s in SIDES),
-                lower=m["better"] == "lower")
+                lower=m["better"] == "lower", **health)
     first = next((r for s in SIDES for r in runs[s] if "machine" in r), {})
     out["machine"] = {k: v for k, v in first.get("machine", {}).items() if k != "git_sha"}
     return out
@@ -230,13 +242,15 @@ def write_bench(path: Path, parent_sha: str, set_name: str, result: dict) -> Non
 def self_test() -> int:
     problems = []
     rng = random.Random(20261021)
+    sound = {"change_correct": [True] * MIN_PAIRS, "failed": (0, 0)}
 
     def simulated(shift: float) -> dict:
         """A set whose host level drifts between pairs, with noise per run."""
         levels = [rng.gauss(0.0, 0.15) for _ in range(MIN_PAIRS)]
         draw = lambda: [0.2 * rng.lognormvariate(level, 0.05) for level in levels]
         parent, aa_first, aa_second = draw(), draw(), draw()
-        return judge(parent, [v * shift for v in draw()], aa_first, aa_second, lower=True)
+        return judge(parent, [v * shift for v in draw()], aa_first, aa_second, lower=True,
+                     **sound)
 
     null = sum(simulated(1.0)["claim_stands"] for _ in range(200))
     gain = sum(simulated(0.85)["claim_stands"] for _ in range(200))
@@ -245,8 +259,16 @@ def self_test() -> int:
     if gain < 190:
         problems.append(f"a 15% gain was claimed in only {gain} of 200 simulated sets")
     same = [0.2] * MIN_PAIRS
-    if judge(same, same, same, same, lower=True)["claim_stands"]:
+    if judge(same, same, same, same, lower=True, **sound)["claim_stands"]:
         problems.append("identical figures claimed a change")
+    faster = [0.1] * MIN_PAIRS
+    for broken in ({"change_correct": [True] * 9 + [False], "failed": (0, 0)},
+                   {"change_correct": [True] * MIN_PAIRS, "failed": (0, 1)}):
+        verdict = judge(same, faster, same, same, lower=True, **broken)
+        if verdict["claim_stands"] or verdict["parent_iqr_rule"]:
+            problems.append(f"a faster change claimed a gain with {broken}")
+    if not judge(same, faster, same, same, lower=True, **sound)["claim_stands"]:
+        problems.append("a change faster in every pair claimed nothing")
     with tempfile.TemporaryDirectory(prefix="ab-self-test-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for tree in trees.values():
@@ -285,7 +307,7 @@ def main(argv=None) -> int:
         archive(parent_sha, Path(tmp) / "parent-copy")
         trees = {"parent": Path(tmp) / "parent", "change": ROOT,
                  "aa_first": Path(tmp) / "parent", "aa_second": Path(tmp) / "parent-copy"}
-        result = run_pairs(trees, args.workload, seeds, args.pairs, args.seconds)
+        result = run_pairs(trees, args.workload, seeds, args.pairs)
     set_name = f"{args.workload} seeds {args.seeds}"
     for name, m in result["metrics"].items():
         print(f"{set_name} {name}: parent {m['parent']['median']:.6g} change "
