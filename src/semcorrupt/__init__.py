@@ -28,7 +28,6 @@ from .exact import (
     BoundReport,
     FiniteCorruption,
     JointTable,
-    Posterior,
     biased_posterior,
     cond_indep_gap,
     corruption_bound,

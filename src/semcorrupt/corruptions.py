@@ -56,9 +56,6 @@ class TokenSeq:
             raise ValueError("mask id must be non-negative")
         object.__setattr__(self, "tokens", toks)
 
-    def __len__(self):
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class SentencePair:
@@ -319,9 +316,10 @@ def rand_crop(grid: Grid, min_frac: float, seed: int) -> Grid:
 
 
 def gauss_noise_rows(values: np.ndarray, variance: float, seeds: np.ndarray) -> np.ndarray:
-    """Batch form of :func:`gauss_noise`: row ``r`` adds
-    ``Stream(seeds[r]).normals(h * w * c)``, the stream words of
-    ``GRID_CHUNK`` rows drawn as one array and put through one Box-Muller map."""
+    """Batch form of :func:`gauss_noise`: row ``r`` adds ``h * w * c``
+    normals, :func:`~semcorrupt.rng.box_muller` on the uniform pairs of the
+    stream seeded ``seeds[r]``, the stream words of ``GRID_CHUNK`` rows drawn
+    as one array and put through one Box-Muller map."""
     if variance < 0.0:
         raise SizingError("variance must be non-negative")
     if variance == 0.0:
@@ -411,7 +409,7 @@ def ngram_randomize(seq: TokenSeq, n: int, seed: int) -> TokenSeq:
 
 def premise_mask(pair: SentencePair) -> SentencePair:
     """Replace every premise token with MASK; the hypothesis is untouched."""
-    masked = TokenSeq((pair.premise.mask_id,) * len(pair.premise), pair.premise.mask_id)
+    masked = TokenSeq((pair.premise.mask_id,) * len(pair.premise.tokens), pair.premise.mask_id)
     return SentencePair(masked, pair.hypothesis)
 
 

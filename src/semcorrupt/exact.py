@@ -149,21 +149,6 @@ class JointTable:
         return math.fsum([abs(self.cells.get(k, 0.0) - other.cells.get(k, 0.0)) for k in keys])
 
 
-class Posterior:
-    """Conditional table with an explicit zero-mass guard on lookup."""
-
-    def __init__(self, table: dict):
-        self._table = table
-
-    def at(self, value) -> dict:
-        if value not in self._table:
-            raise UndefinedWeightError(f"conditioning value {value!r} has zero mass")
-        return self._table[value]
-
-    def items(self):
-        return self._table.items()
-
-
 class FiniteCorruption:
     """Finite-noise corruption: a map (x, delta) -> t plus a delta pmf."""
 
@@ -246,7 +231,7 @@ def _randomized(p: JointTable, factors: dict, table=None, post_t=None) -> tuple:
                 for pd, t, j in table[x]:
                     pt = post_t[j].get(y, 0.0)
                     if pt < POSTERIOR_FLOOR:
-                        _label_posterior(post_t[j], t, y)
+                        raise _floor_error(t, y)
                     w = v * pd
                     eps2 += w * (pt - pz) ** 2
                     m2 += w / (pt * pt)
@@ -288,14 +273,11 @@ def _images(cells: Mapping, corruption: FiniteCorruption) -> tuple:
     return out, list(index)
 
 
-def _label_posterior(row: dict, t, y) -> float:
-    """p(y | t) from ``row``, the posterior at t, refused below
-    ``POSTERIOR_FLOOR``."""
-    pt = row.get(y, 0.0)
-    if pt < POSTERIOR_FLOOR:
-        raise UndefinedWeightError(f"posterior for label {y!r} under corrupted value "
-                                   f"{t!r} is below {POSTERIOR_FLOOR}")
-    return pt
+def _floor_error(t, y) -> UndefinedWeightError:
+    """The error for p(y | t) below ``POSTERIOR_FLOOR``: the weight
+    p(y) / p(y | t) is undefined."""
+    return UndefinedWeightError(f"posterior for label {y!r} under corrupted value "
+                                f"{t!r} is below {POSTERIOR_FLOOR}")
 
 
 def _posterior_given_corrupted(p: JointTable, images: tuple) -> list:
@@ -314,16 +296,18 @@ def _posterior_given_corrupted(p: JointTable, images: tuple) -> list:
     return [{y: q / mass for y, q in row.items()} for row, mass in zip(joint, t_mass)]
 
 
-def biased_posterior(p: JointTable, conditioner) -> Posterior:
-    """Posterior over y given the nuisance z or given a corrupted covariate.
+def biased_posterior(p: JointTable, conditioner) -> dict:
+    """Posterior over y given the nuisance z or given a corrupted covariate,
+    as ``JointTable.posterior`` gives it: each conditioning value with mass
+    maps to ``{y: prob}``, and one without mass is absent.
 
     ``conditioner`` is either the variable name ``"z"`` (or any variable in
     the table) or a :class:`FiniteCorruption` applied to x.
     """
     if isinstance(conditioner, FiniteCorruption):
         images = _images(p.marginal("y", "x").cells, conditioner)
-        return Posterior(dict(zip(images[1], _posterior_given_corrupted(p, images))))
-    return Posterior(p.posterior("y", conditioner))
+        return dict(zip(images[1], _posterior_given_corrupted(p, images)))
+    return p.posterior("y", conditioner)
 
 
 def _reweighted_by(p: JointTable, images: tuple, post: list) -> dict:
@@ -344,7 +328,7 @@ def _reweighted_by(p: JointTable, images: tuple, post: list) -> dict:
         for pd, t, j in table[x]:
             pt = post[j].get(y, 0.0)
             if pt < POSTERIOR_FLOOR:
-                _label_posterior(post[j], t, y)
+                raise _floor_error(t, y)
             total += pd * py / pt * q
         out[key] = total
     return out

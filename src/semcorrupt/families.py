@@ -29,6 +29,13 @@ def _unit(rho: float) -> float:
     return rho
 
 
+def _count(n: int) -> int:
+    """``n``, the number of examples to draw, refused when negative."""
+    if n < 0:
+        raise ValueError(f"the example count n must be >= 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class DiscreteFamily:
     """Exact finite family; ``joint(rho)`` assembles the full pmf and
@@ -41,11 +48,6 @@ class DiscreteFamily:
     z_given_y: Callable         # rho -> {(z, y): prob}
     x_given_z_xstar: Mapping    # (x, z, xstar) -> prob
     semantic_fn: Callable       # x -> xstar
-
-    @property
-    def x_support(self) -> tuple:
-        """Every covariate value of ``x_given_z_xstar``, in its key order."""
-        return tuple(dict.fromkeys(x for x, _z, _xs in self.x_given_z_xstar))
 
     def joint(self, rho: float) -> JointTable:
         return self.assemble(self.z_given_y(_unit(rho)))
@@ -272,7 +274,7 @@ def sample_family(family: DiscreteFamily, rho: float, n: int, seed: int) -> Data
     probs = np.array([p for _k, p in items])
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)
-    draws = Stream(seed).uniforms(n)
+    draws = Stream(seed).uniforms(_count(n))
     picks = np.searchsorted(cum, draws, side="right")
     y_index = {y: i for i, y in enumerate(family.y_support)}
     z_index = {z: i for i, z in enumerate(family.z_support)}
@@ -338,7 +340,8 @@ _IMAGE_WORDS = 2 + IMG_SIZE * IMG_SIZE
 def _image_rows(seeds: np.ndarray, p_same: float, out: np.ndarray) -> tuple:
     """(labels, nuisances) of the examples whose streams are seeded
     ``seeds``, each drawn as ``Stream`` would: ``y = below(2)``, ``z = y if
-    uniform() < p_same else 1 - y``, then ``normals(1024)`` of pixel noise.
+    uniform() < p_same else 1 - y``, then 1024 normals of pixel noise,
+    :func:`~semcorrupt.rng.box_muller` on the stream's next 1024 uniforms.
     Their pixels, snapped to single precision, fill ``out`` (rows, 32, 32, 1)."""
     words = stream_words(seeds, _IMAGE_WORDS)
     # below(2) takes one word and never rejects it: 2**64 % 2 == 0
@@ -372,7 +375,7 @@ def synthetic_image_task(rho: float, n: int, seed: int, flip: bool = False) -> D
     """
     _unit(rho)
     p_same = 1.0 - rho if flip else rho
-    index = np.arange(n)
+    index = np.arange(_count(n))
     labels, nuis = np.empty_like(index), np.empty_like(index)
     block = np.empty((len(index), IMG_SIZE, IMG_SIZE, 1))
     for at in range(0, len(index), GRID_CHUNK):
@@ -421,7 +424,7 @@ def synthetic_nli_task(rho: float, n: int, seed: int, flip: bool = False) -> Dat
         p = np.where(y == 0, rho, 1.0 - rho)
         return 1.0 - p if flip else p
 
-    seeds = derive_seeds(seed, np.arange(n))
+    seeds = derive_seeds(seed, np.arange(_count(n)))
     rows = len(seeds)
     words = stream_words(seeds, 2)
     # below(2) takes one word and never rejects it: 2**64 % 2 == 0

@@ -8,7 +8,6 @@ exactly to plain ERM at their neutral settings.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -187,11 +186,6 @@ class LinearModel:
         ``set_flat(get_flat() - lr * grad)``."""
         for p, part in self._slices(grad):
             p -= lr * part
-
-    def copy(self) -> "LinearModel":
-        dup = copy.copy(self)
-        dup._hold([p.copy() for p in self.params])
-        return dup
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

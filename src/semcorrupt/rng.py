@@ -10,8 +10,10 @@ documented output sequence, so seeded operations are bit-reproducible:
   which is unbiased; ``below(1)`` returns 0 without consuming a word
 * ``shuffle``: Fisher-Yates from the top index down; position ``i`` swaps
   with ``j = below(i + 1)`` for ``i = len-1 .. 1``
-* ``normals``: Box-Muller pairs ``(r*cos(2*pi*u2), r*sin(2*pi*u2))`` with
-  ``r = sqrt(-2*log(1 - u1))``; the pair consumes uniforms ``u1`` then ``u2``
+* normals: :func:`box_muller` on a stream's uniforms, taken in pairs
+  ``(u1, u2)``, each giving ``(r*cos(2*pi*u2), r*sin(2*pi*u2))`` with
+  ``r = sqrt(-2*log(1 - u1))``; ``count`` normals take ``2*ceil(count/2)``
+  uniforms, and an odd count drops the last pair's second half
 
 Sub-seeds for per-example or per-epoch randomness come from
 :func:`derive_seed`, an order-sensitive chain of ``mix64`` calls.
@@ -117,8 +119,8 @@ def uniform_words(words: np.ndarray) -> np.ndarray:
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
-    """The ``normals`` Box-Muller map on consecutive uniform pairs along
-    the last axis."""
+    """The normals' Box-Muller map on consecutive uniform pairs along the
+    last axis."""
     u1, u2 = u[..., 0::2], u[..., 1::2]
     # in place, with the same bits: sqrt(-2 log(1 - u1)) and theta are the
     # only scratch (products commute exactly)
@@ -150,8 +152,8 @@ class Stream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Vectorized ``uniform``; identical to ``count`` sequential draws."""
-        if count == 0:
-            return np.empty(0)
+        if count < 0:
+            raise ValueError("uniforms() needs count >= 0")
         words = stream_words(self._state, count)[0]
         self._state = (self._state + GOLDEN * count) & MASK64
         return uniform_words(words)
@@ -175,9 +177,3 @@ class Stream:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def normals(self, count: int) -> np.ndarray:
-        """Standard normal draws via Box-Muller on consecutive uniform pairs."""
-        if count == 0:
-            return np.empty(0)
-        return box_muller(self.uniforms(2 * ((count + 1) // 2)))[:count]

@@ -6,6 +6,7 @@ Each test prints exactly one ``[PASS]``/``[FAIL]`` line (written to the real
 stdout so the lines survive pytest's capture), then asserts.
 """
 
+import copy
 from time import perf_counter
 
 import numpy as np
@@ -352,7 +353,7 @@ def test_c5_learner_numerics(capsys):
         loss_ce, grad_ce = ce_loss_grad(main, X, y, sample_weights=wts,
                                         weight_decay=wd)
         def f_ce(flat):
-            probe = main.copy()
+            probe = copy.deepcopy(main)
             probe.set_flat(np.asarray(flat))
             return ce_loss_grad(probe, X, y, sample_weights=wts,
                                 weight_decay=wd)[0]
@@ -362,11 +363,11 @@ def test_c5_learner_numerics(capsys):
         _, grad_main, grad_biased = poe_loss_grad(main, biased, X, Xb, y,
                                                   weight_decay=wd)
         def f_poe_main(flat):
-            probe = main.copy()
+            probe = copy.deepcopy(main)
             probe.set_flat(np.asarray(flat))
             return poe_loss_grad(probe, biased, X, Xb, y, weight_decay=wd)[0]
         def f_poe_biased(flat):
-            probe = biased.copy()
+            probe = copy.deepcopy(biased)
             probe.set_flat(np.asarray(flat))
             return poe_loss_grad(main, probe, X, Xb, y, weight_decay=wd)[0]
         worst = max(worst, max_relative_error(
@@ -377,7 +378,7 @@ def test_c5_learner_numerics(capsys):
         bprobs = predict_proba(biased, Xb)
         _, grad_dfl = dfl_loss_grad(main, bprobs, X, y, gamma, weight_decay=wd)
         def f_dfl(flat):
-            probe = main.copy()
+            probe = copy.deepcopy(main)
             probe.set_flat(np.asarray(flat))
             return dfl_loss_grad(probe, bprobs, X, y, gamma, weight_decay=wd)[0]
         worst = max(worst, max_relative_error(
@@ -474,7 +475,7 @@ def test_c7_learned_versus_exact(capsys):
     probs = biased.class_probs(store.corrupted(masked))
     sup = 0.0
     for i, x in enumerate(ds.covariates):
-        exact = post.at((0.0, x[1]))
+        exact = post[(0.0, x[1])]
         for k in range(ds.n_classes):
             sup = max(sup, abs(probs[i, k] - exact[k]))
     if sup > SUP_TOL:
@@ -484,7 +485,7 @@ def test_c7_learned_versus_exact(capsys):
     target = fam.nuisance_randomized(0.8).marginal("y", "x").cells
     emp = {}
     for x, y in zip(ds2.covariates, ds2.labels):
-        w = 0.5 / post.at((0.0, x[1]))[int(y)]
+        w = 0.5 / post[(0.0, x[1])][int(y)]
         key = (int(y), x)
         emp[key] = emp.get(key, 0.0) + w
     total = sum(emp.values())

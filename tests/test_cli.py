@@ -80,6 +80,14 @@ class TestGen:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["image", "nli"])
+    def test_negative_count_names_the_count(self, task, tmp_path, capsys):
+        code = main(["gen", "--task", task, "--rho", "0.9", "--n", "-2",
+                     "--seed", "0", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "example count n must be >= 0, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_task_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--task", "tabular", "--rho", "0.5", "--n", "10",

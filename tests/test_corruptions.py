@@ -88,10 +88,6 @@ class TestTokenSeq:
         with pytest.raises(ValueError):
             TokenSeq((1, 2), -1)
 
-    def test_len(self):
-        assert len(TokenSeq((5, 6, 7), 0)) == 3
-        assert len(TokenSeq((), 0)) == 0
-
 
 class TestSentencePair:
     def test_rejects_mismatched_mask_ids(self):

@@ -275,7 +275,7 @@ class TestSampleFamily:
     def test_covariates_live_on_support(self):
         fam = xor_sign_family(1.0, 4)
         ds = sample_family(fam, 0.6, 300, seed=1)
-        support = set(fam.x_support)
+        support = {x for x, _z, _xs in fam.x_given_z_xstar}
         ys = sorted(fam.y_support)
         for x, y_idx in zip(ds.covariates, ds.labels):
             assert tuple(x) in support
@@ -292,6 +292,19 @@ class TestSampleFamily:
         ds = sample_family(flip_noise_family(1), 0.8, 10, seed=2)
         assert ds.provenance["rho"] == 0.8
         assert ds.provenance["seed"] == 2
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n: sample_family(flip_noise_family(1), 0.8, n, 2),
+    lambda n: synthetic_image_task(0.9, n, 0),
+    lambda n: synthetic_nli_task(0.9, n, 0),
+])
+def test_generators_refuse_a_negative_count(draw):
+    """A negative n is refused, not drawn as an empty dataset whose
+    provenance records it; n = 0 is still an empty dataset."""
+    with pytest.raises(ValueError, match=r"example count n must be >= 0, got -2"):
+        draw(-2)
+    assert len(draw(0)) == 0
 
 
 # ---------------------------------------------------------------------------

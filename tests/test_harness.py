@@ -1017,13 +1017,13 @@ class TestDatasetIO:
         data = tmp_path / "data.bin"
         words = list(np.frombuffer(data.read_bytes(), dtype="<i4"))
         # each pair is its mask id, then each sentence's length and tokens
-        sizes = [3 + len(p.premise) + len(p.hypothesis) for p in ds.covariates]
+        sizes = [3 + len(p.premise.tokens) + len(p.hypothesis.tokens) for p in ds.covariates]
         if damage == "append":
             words.append(0)
         elif damage == "drop_last_pair":
             words = words[:-sizes[-1]]
         else:
-            words[sizes[0] + 2 + len(ds.covariates[1].premise)] = 10**6
+            words[sizes[0] + 2 + len(ds.covariates[1].premise.tokens)] = 10**6
         data.write_bytes(np.array(words, dtype="<i4").tobytes())
         with pytest.raises(ConfigError, match=message):
             load_dataset(str(tmp_path))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semcorrupt.rng import GOLDEN, MASK64, Stream, below_rows, derive_seed, mix64
+from semcorrupt.rng import GOLDEN, MASK64, Stream, below_rows, box_muller, derive_seed, mix64
 
 from reference import RefStream, ref_derive_seed, ref_mix64, ref_permutation, ref_seed_with_word
 
@@ -69,6 +69,14 @@ def test_uniforms_zero_count():
     assert s.uniforms(0).shape == (0,)
     # drawing nothing must not advance the stream
     assert s.next_u64() == Stream(5).next_u64()
+
+
+def test_uniforms_negative_count_raises():
+    s = Stream(5)
+    with pytest.raises(ValueError, match="count >= 0"):
+        s.uniforms(-3)
+    # a refused count leaves the stream where it was
+    assert s.uniform() == Stream(5).uniform()
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +181,23 @@ def test_shuffle_is_a_permutation():
 # normals
 
 
+def normals(seed: int, count: int) -> np.ndarray:
+    """``count`` normals of the stream seeded ``seed``: box_muller on its
+    uniform pairs, an odd count dropping the last pair's second half."""
+    return box_muller(Stream(seed).uniforms(2 * ((count + 1) // 2)))[:count]
+
+
 def test_normals_match_oracle():
     for seed in (0, 11, 202):
         for count in (0, 1, 2, 3, 8, 33):
-            got = Stream(seed).normals(count)
+            got = normals(seed, count)
             want = np.array(RefStream(seed).normals(count))
             assert got.shape == (count,)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_normals_odd_count_prefix_of_even():
-    # an odd draw computes the final pair but discards its second half
-    odd = Stream(7).normals(5)
-    even = Stream(7).normals(6)
-    assert np.array_equal(odd, even[:5])
-
-
 def test_normals_moments():
-    x = Stream(13).normals(40000)
+    x = normals(13, 40000)
     assert abs(x.mean()) < 0.02
     assert abs(x.std() - 1.0) < 0.02
 

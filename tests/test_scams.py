@@ -1,5 +1,6 @@
 """Biased models, importance weights, and the four debiasing routines."""
 
+import copy
 import math
 
 import numpy as np
@@ -177,8 +178,8 @@ class TestNurdWeights:
     def test_invariant_to_logit_shift(self, image_cfg, image_biased, image_train):
         Xb = corrupted_features(image_train, PR8, image_cfg.feature)
         w_before = nurd_weights(image_biased, image_train, Xb)
-        shifted = BiasedModel(image_biased.model.copy(), image_biased.corruption,
-                              image_biased.class_marginal)
+        shifted = BiasedModel(copy.deepcopy(image_biased.model),
+                              image_biased.corruption, image_biased.class_marginal)
         shifted.model.biases[-1][...] += 3.7
         w_after = nurd_weights(shifted, image_train, Xb)
         assert np.allclose(w_before, w_after, atol=1e-10)
