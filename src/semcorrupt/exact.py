@@ -33,15 +33,15 @@ def _given_mass(cells: Mapping) -> dict:
 class JointTable:
     """Sparse exact pmf over a tuple of named variables.
 
-    A table is immutable: its marginals are kept on first request, so
-    ``cells`` must never be mutated.  The constructor checks every cell (a
-    key of the variables' arity, a probability that is not NaN and not
-    negative beyond rounding dust, which it drops) and that the cells sum
-    to one, so none is infinite.  A marginal sums cells already checked,
-    so it checks only its names (known, none repeated) and its total.
+    A table holds only its variables and its cells, and ``cells`` must
+    never be mutated.  The constructor checks every cell (a key of the
+    variables' arity, a probability that is not NaN and not negative beyond
+    rounding dust, which it drops) and that the cells sum to one, so none
+    is infinite.  A marginal sums cells already checked, so it checks only
+    its names (known, none repeated) and its total.
     """
 
-    __slots__ = ("variables", "cells", "_supports", "_marginals")
+    __slots__ = ("variables", "cells")
 
     def __init__(self, variables, cells: Mapping):
         vs = tuple(variables)
@@ -68,17 +68,13 @@ class JointTable:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.variables = variables
         self.cells = cells
-        self._supports = None
-        self._marginals = {}
         return self
 
     @property
     def supports(self) -> dict:
-        """Sorted values of each variable that carry mass."""
-        if self._supports is None:
-            self._supports = {name: tuple(sorted({k[i] for k in self.cells}))
-                              for i, name in enumerate(self.variables)}
-        return self._supports
+        """Sorted values of each variable that carry mass, on each access."""
+        return {name: tuple(sorted({k[i] for k in self.cells}))
+                for i, name in enumerate(self.variables)}
 
     def _indices(self, names):
         try:
@@ -89,24 +85,15 @@ class JointTable:
     def marginal(self, *names: str) -> "JointTable":
         if names == self.variables:
             return self
-        kept = self._marginals.get(names)
-        if kept is not None:
-            return kept
         idx = self._indices(names)
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate variable names")
-        if len(idx) == 1:   # zip of one iterable makes 1-tuples
-            subs = zip(map(operator.itemgetter(*idx), self.cells))
-        elif idx:
-            subs = map(operator.itemgetter(*idx), self.cells)
-        else:
-            subs = itertools.repeat((), len(self.cells))
         out: dict = {}
-        for sub, p in zip(subs, self.cells.values()):
+        for key, p in self.cells.items():
+            sub = tuple([key[i] for i in idx])
             out[sub] = out.get(sub, 0.0) + p
         # sums of this table's checked cells: only their total is checked again
-        kept = self._marginals[names] = JointTable.__new__(JointTable)._hold(names, out)
-        return kept
+        return JointTable.__new__(JointTable)._hold(names, out)
 
     def prob(self, **assignment) -> float:
         idx = self._indices(assignment.keys())
@@ -180,24 +167,19 @@ class FiniteCorruption:
 
 
 def _first_pass(p: JointTable) -> tuple:
-    """``(factors, yx)`` from one pass over the cells of ``p``, a table over
-    exactly (y, z, x), which sums its y, z, (y, z) and (y, x) marginals
-    (each the same sums in the same order as ``marginal``'s) and keeps on p
-    those not kept yet.  ``yx`` is the (y, x) marginal's cells; ``factors``
-    maps each (y, z) pair with mass to ``(p(y) p(z), p(y, z), p(y | z))``,
-    p(y | z) divided as ``posterior`` divides it.  A label and a nuisance
-    with mass that never meet raise."""
+    """``(factors, y_m, yx)`` from one pass over the cells of ``p``, a table
+    over exactly (y, z, x), which sums its y, z, (y, z) and (y, x)
+    marginals (each the same sums in the same order as ``marginal``'s) and
+    hands them on.  ``y_m`` maps each label to p(y), ``yx`` is the (y, x)
+    marginal's cells, and ``factors`` maps each (y, z) pair with mass to
+    ``(p(y) p(z), p(y, z), p(y | z))``, p(y | z) divided as ``posterior``
+    divides it.  A label and a nuisance with mass that never meet raise."""
     y_m, z_m, yz, yx = {}, {}, {}, {}
     for (y, z, x), q in p.cells.items():
         y_m[y] = y_m.get(y, 0.0) + q
         z_m[z] = z_m.get(z, 0.0) + q
         yz[(y, z)] = yz.get((y, z), 0.0) + q
         yx[(y, x)] = yx.get((y, x), 0.0) + q
-    sums = {("y",): {(y,): q for y, q in y_m.items()},
-            ("z",): {(z,): q for z, q in z_m.items()}, ("y", "z"): yz, ("y", "x"): yx}
-    for names, cells in sums.items():
-        if names not in p._marginals:
-            p._marginals[names] = JointTable.__new__(JointTable)._hold(names, cells)
     if len(yz) < len(y_m) * len(z_m):   # some pair has no mass
         for y, qy in y_m.items():
             for z, qz in z_m.items():
@@ -207,13 +189,14 @@ def _first_pass(p: JointTable) -> tuple:
                         "p(x | y, z) is undefined; use DiscreteFamily.nuisance_randomized")
     z_mass = _given_mass(yz)
     factors = {(y, z): (y_m[y] * z_m[z], q, q / z_mass[z]) for (y, z), q in yz.items()}
-    return factors, yx
+    return factors, y_m, yx
 
 
 def _randomized(p: JointTable, factors: dict, table=None, post_t=None) -> tuple:
-    """``(pp, eps2, m2)`` from one pass over the cells of ``p``, a table
-    over exactly (y, z, x), and its ``factors`` (:func:`_first_pass`).
-    ``pp`` is p(y) p(z) p(x | y, z), with its (y, x) marginal kept.  Given
+    """``(pp, target, eps2, m2)`` from one pass over the cells of ``p``, a
+    table over exactly (y, z, x), and its ``factors`` (:func:`_first_pass`).
+    ``pp`` is p(y) p(z) p(x | y, z) and ``target`` its (y, x) marginal's
+    cells, the same sums in the same order as ``marginal``'s.  Given
     a corruption's image table and p(y | t) (:func:`_images`,
     :func:`_posterior_given_corrupted`), ``eps2`` and ``m2`` sum
     (p(y | t) - p(y | z))^2 and p(y | t)^-2 over pp times the noise;
@@ -236,8 +219,7 @@ def _randomized(p: JointTable, factors: dict, table=None, post_t=None) -> tuple:
                     eps2 += w * (pt - pz) ** 2
                     m2 += w / (pt * pt)
     pp = JointTable.__new__(JointTable)._hold(("y", "z", "x"), out)
-    pp._marginals[("y", "x")] = JointTable.__new__(JointTable)._hold(("y", "x"), target)
-    return pp, eps2, m2
+    return pp, target, eps2, m2
 
 
 def nuisance_randomize(p: JointTable) -> JointTable:
@@ -280,14 +262,15 @@ def _floor_error(t, y) -> UndefinedWeightError:
                                 f"{t!r} is below {POSTERIOR_FLOOR}")
 
 
-def _posterior_given_corrupted(p: JointTable, images: tuple) -> list:
+def _posterior_given_corrupted(yx: Mapping, images: tuple) -> list:
     """p(y | t) where t = corruption(x, delta) under the training joint,
-    the corruption given as its :func:`_images` over p's covariates: row j
-    is ``{y: p(y | values[j])}``."""
+    given as its (y, x) cells ``yx``, the corruption given as its
+    :func:`_images` over those covariates: row j is
+    ``{y: p(y | values[j])}``."""
     table, values = images
     joint = [{} for _ in values]   # row j: {y: p(y, values[j])}
     t_mass = [0.0] * len(values)
-    for (y, x), q in p.marginal("y", "x").cells.items():
+    for (y, x), q in yx.items():
         for pd, _t, j in table[x]:
             w = q * pd
             row = joint[j]
@@ -305,25 +288,26 @@ def biased_posterior(p: JointTable, conditioner) -> dict:
     the table) or a :class:`FiniteCorruption` applied to x.
     """
     if isinstance(conditioner, FiniteCorruption):
-        images = _images(p.marginal("y", "x").cells, conditioner)
-        return dict(zip(images[1], _posterior_given_corrupted(p, images)))
+        yx = p.marginal("y", "x").cells
+        images = _images(yx, conditioner)
+        return dict(zip(images[1], _posterior_given_corrupted(yx, images)))
     return p.posterior("y", conditioner)
 
 
-def _reweighted_by(p: JointTable, images: tuple, post: list) -> dict:
-    """Unnormalized (y, x) measure p(y, x) p(y) / p(y | corrupted), the
-    corruption given as its :func:`_images` and p(y | t) as ``post``
+def _reweighted_by(yx: Mapping, y_m: Mapping, images: tuple, post: list) -> dict:
+    """Unnormalized (y, x) measure p(y, x) p(y) / p(y | corrupted), with
+    p(y, x) given as the cells ``yx``, p(y) as ``y_m`` keyed by label, the
+    corruption as its :func:`_images` and p(y | t) as ``post``
     (:func:`_posterior_given_corrupted`).
 
     Sums to one exactly when every corrupted value leaves all labels
     possible; a leaky corruption loses mass instead.
     """
     table = images[0]
-    y_m = p.marginal("y").cells
     out: dict = {}
-    for key, q in p.marginal("y", "x").cells.items():
+    for key, q in yx.items():
         y, x = key
-        py = y_m[(y,)]
+        py = y_m[y]
         total = 0.0
         for pd, t, j in table[x]:
             pt = post[j].get(y, 0.0)
@@ -337,8 +321,10 @@ def _reweighted_by(p: JointTable, images: tuple, post: list) -> dict:
 def corruption_randomize(p: JointTable, corruption: FiniteCorruption) -> JointTable:
     """Reweight the (y, x) joint by p(y) / p(y | corrupted covariate),
     self-normalized so the result is always a distribution."""
-    images = _images(p.marginal("y", "x").cells, corruption)
-    raw = _reweighted_by(p, images, _posterior_given_corrupted(p, images))
+    yx = p.marginal("y", "x").cells
+    y_m = {y: q for (y,), q in p.marginal("y").cells.items()}
+    images = _images(yx, corruption)
+    raw = _reweighted_by(yx, y_m, images, _posterior_given_corrupted(yx, images))
     total = math.fsum(raw.values())
     return JointTable(("y", "x"), {k: v / total for k, v in raw.items()})
 
@@ -380,15 +366,14 @@ def corruption_bound(p: JointTable, corruption: FiniteCorruption) -> BoundReport
     the report checks ``l1 <= moment * epsilon + BOUND_SLACK``.
     """
     p = p.marginal("y", "z", "x")
-    factors, yx = _first_pass(p)
+    factors, y_m, yx = _first_pass(p)
     images = _images(yx, corruption)   # pp's covariates too
-    post_t = _posterior_given_corrupted(p, images)
-    pp, eps2, m2 = _randomized(p, factors, images[0], post_t)
+    post_t = _posterior_given_corrupted(yx, images)
+    _pp, target, eps2, m2 = _randomized(p, factors, images[0], post_t)
     epsilon = math.sqrt(eps2)
     moment = math.sqrt(m2)
-    target = pp.marginal("y", "x").cells
     # raw has a cell for each of p's (y, x) pairs, target for some of them
-    raw = _reweighted_by(p, images, post_t)
+    raw = _reweighted_by(yx, y_m, images, post_t)
     l1 = math.fsum([abs(target.get(k, 0.0) - r) for k, r in raw.items()])
     return BoundReport(epsilon, moment, l1, l1 <= moment * epsilon + BOUND_SLACK)
 
@@ -406,11 +391,12 @@ def cond_indep_gap(p: JointTable, a: str, b: str, given) -> float:
         c_mass[vc] = c_mass.get(vc, 0.0) + q
         ac[(va, vc)] = ac.get((va, vc), 0.0) + q
         bc[(vb, vc)] = bc.get((vb, vc), 0.0) + q
+    supports = m.supports
     gap = 0.0
     for vc, mass in c_mass.items():
-        for va in m.supports[a]:
+        for va in supports[a]:
             pa = ac.get((va, vc), 0.0) / mass
-            for vb in m.supports[b]:
+            for vb in supports[b]:
                 pb = bc.get((vb, vc), 0.0) / mass
                 pab = m.cells.get((va, vb) + vc, 0.0) / mass
                 gap = max(gap, abs(pab - pa * pb))

@@ -314,8 +314,5 @@ def select_corruption(candidates, evaluate):
     if not any(s.kind == "identity" for s in specs):
         specs.insert(0, CorruptionSpec("identity", None, 0))
     scored = [(spec, float(evaluate(spec))) for spec in specs]
-    best, best_score = scored[0]
-    for spec, score in scored[1:]:
-        if score > best_score:
-            best, best_score = spec, score
+    best, best_score = max(scored, key=lambda pair: pair[1])
     return best, best_score, scored
